@@ -1,0 +1,108 @@
+// Determinism golden: the simulated outputs of one fixed-seed Linear Road
+// run per execution model, hierarchical (inner DDF composite) and flat,
+// checked exactly. Any refactor of the directors, schedulers or receivers
+// must leave every figure below unchanged; a legitimate behavior change
+// re-records the table (the failure message prints the new row).
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+
+#include "lrb/harness.h"
+
+namespace cwf::lrb {
+namespace {
+
+struct Golden {
+  SchedulerKind kind;
+  bool hierarchical;
+  uint64_t total_firings;
+  uint64_t director_iterations;
+  size_t toll_notifications;
+  size_t accident_notifications;
+  uint64_t tolls_calculated;
+  uint64_t accidents_recorded;
+  double toll_avg_response_s;
+  double toll_p95_response_s;
+  double toll_max_response_s;
+};
+
+// Recorded with the options of GoldenOptions() below.
+constexpr Golden kGoldens[] = {
+    // clang-format off
+    {SchedulerKind::kQBS, true, 15755, 2836, 1215, 419, 1215, 11, 0.0055407753086419752, 0.0073969999999999999, 0.0167},
+    {SchedulerKind::kQBS, false, 14701, 2839, 1215, 419, 1215, 11, 0.0054697703703703703, 0.006476, 0.0167},
+    {SchedulerKind::kRR, true, 15756, 2900, 1215, 419, 1215, 11, 0.0071185703703703701, 0.0092860000000000009, 0.077823000000000003},
+    {SchedulerKind::kRR, false, 14703, 2903, 1215, 419, 1215, 11, 0.006228504526748971, 0.0076509999999999998, 0.072872000000000006},
+    {SchedulerKind::kRB, true, 15742, 6813, 1215, 419, 1215, 11, 0.0088748781893004114, 0.0094289999999999999, 0.44782300000000003},
+    {SchedulerKind::kRB, false, 14687, 6906, 1215, 419, 1215, 11, 0.0079412740740740732, 0.0076519999999999999, 0.44231700000000002},
+    {SchedulerKind::kFIFO, true, 15755, 2836, 1215, 419, 1215, 11, 0.00905436378600823, 0.0094289999999999999, 0.48047400000000001},
+    {SchedulerKind::kFIFO, false, 14701, 2839, 1215, 419, 1215, 11, 0.0081426386831275725, 0.0076509999999999998, 0.487622},
+    {SchedulerKind::kEDF, true, 15756, 2836, 1215, 419, 1215, 11, 0.0091626658436213988, 0.0094289999999999999, 0.57994400000000002},
+    {SchedulerKind::kEDF, false, 14702, 2839, 1215, 419, 1215, 11, 0.0082652543209876545, 0.0076509999999999998, 0.58794299999999999},
+    {SchedulerKind::kPNCWF, true, 15697, 0, 1215, 427, 1215, 11, 0.011304538271604939, 0.01737, 0.058904999999999999},
+    {SchedulerKind::kPNCWF, false, 14687, 0, 1215, 427, 1215, 11, 0.010670306172839506, 0.016820000000000002, 0.063264000000000001},
+    // clang-format on
+};
+
+ExperimentOptions GoldenOptions(const Golden& g) {
+  ExperimentOptions opt;
+  opt.scheduler = g.kind;
+  opt.hierarchical = g.hierarchical;
+  // A short, steady, accident-dense trace: cheap enough to run every
+  // configuration in a few seconds, long enough for the 4-report stopped-car
+  // window to detect accidents and notify.
+  opt.workload.duration = Seconds(240);
+  opt.workload.initial_rate = 12.0;
+  opt.workload.rate_slope_per_sec = 0.0;
+  opt.workload.mean_accident_gap = 20.0;
+  opt.workload.seed = 7;
+  return opt;
+}
+
+std::string Row(const Golden& g, const ExperimentResult& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{SchedulerKind::k%s, %s, %llu, %llu, %zu, %zu, %llu, %llu, "
+                "%.17g, %.17g, %.17g},",
+                SchedulerKindName(g.kind), g.hierarchical ? "true" : "false",
+                static_cast<unsigned long long>(r.total_firings),
+                static_cast<unsigned long long>(r.director_iterations),
+                r.toll_notifications, r.accident_notifications,
+                static_cast<unsigned long long>(r.tolls_calculated),
+                static_cast<unsigned long long>(r.accidents_recorded),
+                r.toll_avg_response_s, r.toll_p95_response_s,
+                r.toll_max_response_s);
+  return buf;
+}
+
+class DeterminismGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(DeterminismGolden, SimulatedOutputsMatchExactly) {
+  const Golden& g = GetParam();
+  auto res = RunLRBExperiment(GoldenOptions(g));
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_TRUE(res->status.ok()) << res->status.ToString();
+  const ExperimentResult& r = *res;
+  SCOPED_TRACE("observed row: " + Row(g, r));
+  EXPECT_EQ(r.total_firings, g.total_firings);
+  EXPECT_EQ(r.director_iterations, g.director_iterations);
+  EXPECT_EQ(r.toll_notifications, g.toll_notifications);
+  EXPECT_EQ(r.accident_notifications, g.accident_notifications);
+  EXPECT_EQ(r.tolls_calculated, g.tolls_calculated);
+  EXPECT_EQ(r.accidents_recorded, g.accidents_recorded);
+  EXPECT_EQ(r.toll_avg_response_s, g.toll_avg_response_s);
+  EXPECT_EQ(r.toll_p95_response_s, g.toll_p95_response_s);
+  EXPECT_EQ(r.toll_max_response_s, g.toll_max_response_s);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllExecutionModels, DeterminismGolden, ::testing::ValuesIn(kGoldens),
+    [](const ::testing::TestParamInfo<Golden>& info) {
+      return std::string(SchedulerKindName(info.param.kind)) +
+             (info.param.hierarchical ? "_Hierarchical" : "_Flat");
+    });
+
+}  // namespace
+}  // namespace cwf::lrb
