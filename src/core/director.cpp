@@ -4,6 +4,7 @@
 #include "analysis/capacity_planner.h"
 #include "analysis/liveness_pass.h"
 #include "analysis/schema_pass.h"
+#include "core/wait_graph.h"
 #include "stream/stream_source.h"
 
 namespace cwf {
@@ -20,6 +21,7 @@ Status Director::Initialize(Workflow* workflow, Clock* clock,
   workflow_ = workflow;
   clock_ = clock;
   cost_model_ = cost_model;
+  total_firings_ = 0;
   ClearHalted();
   if (ctx_ == &own_ctx_) {
     own_ctx_.seq = 1;
@@ -205,6 +207,77 @@ Status Director::FlushActorOutputs(Actor* actor, size_t* emitted) {
                           clock_->Now());
   }
   return Status::OK();
+}
+
+Result<FiringOutcome> Director::FireOnce(Actor* actor) {
+#ifdef CWF_OBS_ENABLED
+  // Profile cells were resolved at Bind; the branch keeps the disabled cost
+  // to one relaxed load (no map lookup).
+  const obs::WorkflowTelemetry::ActorProfileSites sites =
+      obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(actor)
+                              : obs::WorkflowTelemetry::ActorProfileSites{};
+#endif
+  actor->BeginFiring();
+  // Attribute CHECK-fail context and blocking puts (the PNCWF wait graph
+  // needs the producing end of an edge) to this actor.
+  ScopedCurrentActor current_actor(actor);
+  const Timestamp fire_start = clock_->Now();
+  FiringOutcome outcome;
+  {
+    CWF_PROFILE_SCOPE(sites.fire);
+    CWF_RETURN_NOT_OK(actor->Fire());
+    CWF_RETURN_NOT_OK(FlushActorOutputs(actor, &outcome.emitted));
+  }
+  const FiringContext& fc = actor->firing_context();
+  outcome.consumed = fc.events_consumed;
+  actor->IncrementFirings();
+  total_firings_.fetch_add(1, std::memory_order_relaxed);
+  outcome.cost =
+      ChargeFiring(actor, outcome.consumed, outcome.emitted, fire_start);
+  auto cont = [&] {
+    CWF_PROFILE_SCOPE(sites.postfire);
+    return actor->Postfire();
+  }();
+  if (!cont.ok()) {
+    return cont.status();
+  }
+  obs::FiringRecord record;
+  record.actor = actor;
+  record.cost = outcome.cost;
+  record.consumed = outcome.consumed;
+  record.emitted = outcome.emitted;
+  record.start = fire_start;
+  record.end = clock_->Now();
+  record.wave = fc.valid ? &fc.wave : nullptr;
+  telemetry_.RecordFiring(record);
+  outcome.halted = !cont.value();
+  if (outcome.halted) {
+    MarkHalted(actor);
+  }
+  return outcome;
+}
+
+Duration Director::ChargeFiring(const Actor* actor, size_t consumed,
+                                size_t emitted, Timestamp fire_start) {
+  if (!clock_->is_virtual()) {
+    return clock_->Now() - fire_start;
+  }
+  return cost_model_ == nullptr
+             ? 0
+             : cost_model_->FiringCost(actor->name(), consumed, emitted);
+}
+
+void Director::FireReceiverTimeouts(Timestamp now) {
+  for (const auto& actor : workflow_->actors()) {
+    for (const auto& port : actor->input_ports()) {
+      for (size_t c = 0; c < port->ChannelCount(); ++c) {
+        Receiver* r = port->receiver(c);
+        if (r != nullptr && r->NextDeadline() <= now) {
+          r->OnTimeout(now);
+        }
+      }
+    }
+  }
 }
 
 Timestamp Director::NextWakeup() const {

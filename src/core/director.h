@@ -9,6 +9,7 @@
 #ifndef CONFLUENCE_CORE_DIRECTOR_H_
 #define CONFLUENCE_CORE_DIRECTOR_H_
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
@@ -26,6 +27,16 @@ namespace cwf {
 namespace analysis {
 struct CapacityPlan;
 }  // namespace analysis
+
+/// \brief What one firing did (Director::FireOnce).
+struct FiringOutcome {
+  /// Engine-time cost charged by Director::ChargeFiring.
+  Duration cost = 0;
+  size_t consumed = 0;
+  size_t emitted = 0;
+  /// postfire() returned false; the actor is now marked halted.
+  bool halted = false;
+};
 
 /// \brief Base class of every model of computation.
 class Director {
@@ -119,7 +130,32 @@ class Director {
   /// after Initialize; instruments rebind on every Initialize).
   obs::WorkflowTelemetry* telemetry() { return &telemetry_; }
 
+  /// \brief Firings completed since the last Initialize(). Thread-safe.
+  uint64_t total_firings() const {
+    return total_firings_.load(std::memory_order_relaxed);
+  }
+
  protected:
+  /// \brief The firing protocol every model of computation shares: fire and
+  /// stamp the outputs, charge the cost (ChargeFiring), postfire, report one
+  /// FiringRecord to telemetry, and mark the actor halted when postfire
+  /// says so. Call only after the director's own readiness check (prefire)
+  /// passed. Fire and postfire run under the actor's profile scopes.
+  Result<FiringOutcome> FireOnce(Actor* actor);
+
+  /// \brief Engine-time cost of one firing that began at `fire_start`,
+  /// charged between fire and postfire. The base returns the cost model's
+  /// figure on a virtual clock without moving it (an inner composite
+  /// director runs inside its parent's firing) and the elapsed engine time
+  /// on a real clock. Directors that own the timeline override this to add
+  /// their dispatch overhead and advance the clock.
+  virtual Duration ChargeFiring(const Actor* actor, size_t consumed,
+                                size_t emitted, Timestamp fire_start);
+
+  /// \brief Close every timed window whose formation deadline passed, on
+  /// every input receiver of the workflow.
+  void FireReceiverTimeouts(Timestamp now);
+
   /// \brief Create a receiver for every channel and register it with both
   /// ends; called from Initialize(). With a capacity plan installed, planned
   /// channels are bounded to their per-channel capacity.
@@ -160,6 +196,8 @@ class Director {
   ExecutionContext* ctx_ = &own_ctx_;
   bool initialized_ = false;
   bool static_analysis_enabled_ = true;
+  /// Atomic: OS-thread PNCWF fires from one thread per actor.
+  std::atomic<uint64_t> total_firings_{0};
   /// shared_ptr so the header only needs the forward declaration.
   std::shared_ptr<const analysis::CapacityPlan> capacity_plan_;
   /// Liveness verdict of the installed plan under this deployment, stamped

@@ -111,8 +111,8 @@ class Receiver {
   }
 
   /// \brief Highest QueueDepth() ever observed after a deposit. Compared
-  /// against the planner's per-channel bound (tests) and surfaced through
-  /// stafilos::ActorStatistics under the SCWF director.
+  /// against the planner's per-channel bound (tests); exported as the
+  /// maximum of the channel's cwf_receiver_depth gauge.
   uint64_t high_water_mark() const { return high_water_mark_; }
   void ResetHighWaterMark() { high_water_mark_ = 0; }
 

@@ -1,28 +1,11 @@
 #include "directors/ddf_director.h"
 
-#include "core/wait_graph.h"
-
-#include "stream/stream_source.h"
-
 namespace cwf {
 
 DDFDirector::DDFDirector(DDFOptions options) : options_(options) {}
 
 std::unique_ptr<Receiver> DDFDirector::CreateReceiver(InputPort* port) {
   return std::make_unique<WindowedReceiver>(port, port->spec());
-}
-
-void DDFDirector::FireTimeouts(Timestamp now) {
-  for (const auto& actor : workflow_->actors()) {
-    for (const auto& port : actor->input_ports()) {
-      for (size_t c = 0; c < port->ChannelCount(); ++c) {
-        Receiver* r = port->receiver(c);
-        if (r != nullptr && r->NextDeadline() <= now) {
-          r->OnTimeout(now);
-        }
-      }
-    }
-  }
 }
 
 Result<size_t> DDFDirector::FireReadyOnce() {
@@ -39,36 +22,8 @@ Result<size_t> DDFDirector::FireReadyOnce() {
     if (!ready.value()) {
       continue;
     }
-    a->BeginFiring();
-    ScopedCurrentActor current_actor(a);
-    const Timestamp fire_start = clock_->Now();
-    const int64_t host_t0 =
-        telemetry_.host_timing_active() ? obs::HostMonotonicMicros() : 0;
-    CWF_RETURN_NOT_OK(a->Fire());
-    size_t emitted = 0;
-    CWF_RETURN_NOT_OK(FlushActorOutputs(a, &emitted));
-    a->IncrementFirings();
-    ++total_firings_;
+    CWF_RETURN_NOT_OK(FireOnce(a).status());
     ++fired;
-    auto cont = a->Postfire();
-    if (!cont.ok()) {
-      return cont.status();
-    }
-    obs::FiringRecord record;
-    record.actor = a;
-    record.consumed = a->firing_context().events_consumed;
-    record.emitted = emitted;
-    record.fire_host_us =
-        host_t0 != 0 ? obs::HostMonotonicMicros() - host_t0 : 0;
-    record.cost = record.fire_host_us;
-    record.start = fire_start;
-    record.end = clock_->Now();
-    const FiringContext& fc = a->firing_context();
-    record.wave = fc.valid ? &fc.wave : nullptr;
-    telemetry_.RecordFiring(record);
-    if (!cont.value()) {
-      MarkHalted(a);
-    }
   }
   return fired;
 }
@@ -79,7 +34,7 @@ Status DDFDirector::Run(Timestamp until) {
   }
   uint64_t fired_this_run = 0;
   for (;;) {
-    FireTimeouts(clock_->Now());
+    FireReceiverTimeouts(clock_->Now());
     CWF_ASSIGN_OR_RETURN(size_t fired, FireReadyOnce());
     fired_this_run += fired;
     if (options_.max_firings_per_run != 0 &&

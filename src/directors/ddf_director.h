@@ -36,18 +36,12 @@ class DDFDirector : public Director {
   /// single quiescence pass.
   Status Run(Timestamp until) override;
 
-  uint64_t total_firings() const { return total_firings_; }
-
  protected:
   /// \brief One pass over all actors; fires each ready one once. Returns
   /// the number of firings.
   Result<size_t> FireReadyOnce();
 
-  /// \brief Close any timed windows whose deadline passed.
-  void FireTimeouts(Timestamp now);
-
   DDFOptions options_;
-  uint64_t total_firings_ = 0;
 };
 
 }  // namespace cwf

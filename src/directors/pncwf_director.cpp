@@ -180,7 +180,6 @@ Status PNCWFDirector::Initialize(Workflow* workflow, Clock* clock,
   }
   stop_ = false;
   busy_ = 0;
-  total_firings_ = 0;
   context_switches_ = 0;
   CWF_RETURN_NOT_OK(Director::Initialize(workflow, clock, cost_model));
   // Teach the wait graph this workflow's channel topology so blocking
@@ -219,82 +218,15 @@ bool PNCWFDirector::DownstreamAtCapacity(const Actor* actor) const {
   return false;
 }
 
-Result<Duration> PNCWFDirector::FireOnce(Actor* actor, size_t* consumed,
-                                         size_t* emitted) {
-  // Attribute blocking Puts this firing performs to their producer: the
-  // downstream receiver only knows its consumer, the wait graph needs the
-  // producing end of the edge.
-  ScopedCurrentActor current_actor(actor);
-#ifdef CWF_OBS_ENABLED
-  const obs::WorkflowTelemetry::ActorProfileSites sites =
-      obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(actor)
-                              : obs::WorkflowTelemetry::ActorProfileSites{};
-#endif
-  const bool timed = telemetry_.host_timing_active();
-  actor->BeginFiring();
-  const Timestamp fire_start = clock_->Now();
-  const int64_t host_t0 = timed ? obs::HostMonotonicMicros() : 0;
-  const auto host_start = std::chrono::steady_clock::now();
-  {
-    CWF_PROFILE_SCOPE(sites.fire);
-    CWF_RETURN_NOT_OK(actor->Fire());
-    CWF_RETURN_NOT_OK(FlushActorOutputs(actor, emitted));
-  }
-  *consumed = actor->firing_context().events_consumed;
-  actor->IncrementFirings();
-  total_firings_.fetch_add(1, std::memory_order_relaxed);
-  Duration cost;
+Duration PNCWFDirector::ChargeFiring(const Actor* actor, size_t consumed,
+                                     size_t emitted, Timestamp fire_start) {
+  Duration cost = Director::ChargeFiring(actor, consumed, emitted, fire_start);
   if (clock_->is_virtual()) {
-    cost = cost_model_->FiringCost(actor->name(), *consumed, *emitted) +
-           cost_model_->sync_per_event_overhead *
-               static_cast<Duration>(*consumed + *emitted);
-  } else {
-    cost = std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - host_start)
-               .count();
-  }
-  const int64_t host_t1 = timed ? obs::HostMonotonicMicros() : 0;
-  auto cont = [&] {
-    CWF_PROFILE_SCOPE(sites.postfire);
-    return actor->Postfire();
-  }();
-  if (!cont.ok()) {
-    return cont.status();
-  }
-  {
-    obs::FiringRecord record;
-    record.actor = actor;
-    record.cost = cost;
-    record.consumed = *consumed;
-    record.emitted = *emitted;
-    record.fire_host_us = timed ? host_t1 - host_t0 : 0;
-    record.postfire_host_us =
-        timed ? obs::HostMonotonicMicros() - host_t1 : 0;
-    record.start = fire_start;
-    // The simulated caller advances the virtual clock by `cost` after this
-    // returns; stamp the span end where it will land.
-    record.end = clock_->is_virtual() ? fire_start + cost : clock_->Now();
-    const FiringContext& fc = actor->firing_context();
-    record.wave = fc.valid ? &fc.wave : nullptr;
-    telemetry_.RecordFiring(record);
-  }
-  if (!cont.value()) {
-    MarkHalted(actor);
+    cost += cost_model_->sync_per_event_overhead *
+            static_cast<Duration>(consumed + emitted);
+    clock_->AdvanceBy(cost);
   }
   return cost;
-}
-
-void PNCWFDirector::FireReceiverTimeouts(Timestamp now) {
-  for (const auto& actor : workflow_->actors()) {
-    for (const auto& port : actor->input_ports()) {
-      for (size_t c = 0; c < port->ChannelCount(); ++c) {
-        Receiver* r = port->receiver(c);
-        if (r != nullptr && r->NextDeadline() <= now) {
-          r->OnTimeout(now);
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -435,15 +367,9 @@ Status PNCWFDirector::RunSimulated(Timestamp until) {
       if (!pf.value()) {
         break;  // blocks on empty input
       }
-      size_t consumed = 0;
-      size_t emitted = 0;
-      auto cost = FireOnce(chosen, &consumed, &emitted);
-      if (!cost.ok()) {
-        return cost.status();
-      }
-      clock_->AdvanceBy(cost.value());
-      slice -= cost.value();
-      if (IsHalted(chosen)) {
+      CWF_ASSIGN_OR_RETURN(const FiringOutcome outcome, FireOnce(chosen));
+      slice -= outcome.cost;
+      if (outcome.halted) {
         break;
       }
       FireReceiverTimeouts(clock_->Now());
@@ -537,16 +463,14 @@ void PNCWFDirector::ActorThreadBody(Actor* actor)
       wait_graph_.OnGetUnblocked(actor);
     }
     busy_.fetch_add(1);
-    size_t consumed = 0;
-    size_t emitted = 0;
-    auto cost = FireOnce(actor, &consumed, &emitted);
+    auto outcome = FireOnce(actor);
     busy_.fetch_sub(1);
-    if (!cost.ok()) {
+    if (!outcome.ok()) {
       CWF_CLOG(kError, "pncwf") << "actor '" << actor->name()
-                      << "' failed: " << cost.status().ToString();
+                      << "' failed: " << outcome.status().ToString();
       return;
     }
-    if (IsHalted(actor)) {
+    if (outcome->halted) {
       return;
     }
   }
@@ -575,16 +499,14 @@ void PNCWFDirector::SourceThreadBody(Actor* actor) {
       continue;
     }
     busy_.fetch_add(1);
-    size_t consumed = 0;
-    size_t emitted = 0;
-    auto cost = FireOnce(actor, &consumed, &emitted);
+    auto outcome = FireOnce(actor);
     busy_.fetch_sub(1);
-    if (!cost.ok()) {
+    if (!outcome.ok()) {
       CWF_CLOG(kError, "pncwf") << "source '" << actor->name()
-                      << "' failed: " << cost.status().ToString();
+                      << "' failed: " << outcome.status().ToString();
       return;
     }
-    if (IsHalted(actor)) {
+    if (outcome->halted) {
       return;
     }
   }

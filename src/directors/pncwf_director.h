@@ -63,8 +63,6 @@ class PNCWFDirector : public Director {
 
   Status Run(Timestamp until) override;
 
-  uint64_t total_firings() const { return total_firings_.load(); }
-
   /// \brief Simulated context switches performed (simulation mode).
   uint64_t context_switches() const { return context_switches_; }
 
@@ -81,6 +79,11 @@ class PNCWFDirector : public Director {
     return OverflowPolicy::kBlock;
   }
 
+  /// Simulated mode: modeled cost plus the per-event synchronization
+  /// overhead, advanced on the virtual clock. OS-thread mode: measured.
+  Duration ChargeFiring(const Actor* actor, size_t consumed, size_t emitted,
+                        Timestamp fire_start) override;
+
  private:
   /// Per-actor synchronization domain for OS-thread mode (recursive: the
   /// prefire predicate re-enters receiver methods under the lock).
@@ -94,11 +97,6 @@ class PNCWFDirector : public Director {
 
   void ActorThreadBody(Actor* actor);
   void SourceThreadBody(Actor* actor);
-
-  /// One actor firing (either mode); returns modeled/measured cost.
-  Result<Duration> FireOnce(Actor* actor, size_t* consumed, size_t* emitted);
-
-  void FireReceiverTimeouts(Timestamp now);
 
   /// Whether any plan-bounded queue downstream of `actor` is full — the
   /// simulated-mode stand-in for a producer thread blocked in Put().
@@ -134,7 +132,6 @@ class PNCWFDirector : public Director {
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   std::atomic<int> busy_{0};
-  std::atomic<uint64_t> total_firings_{0};
   uint64_t context_switches_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "directors/scwf_director.h"
 
-#include "core/wait_graph.h"
-
 #include <chrono>
 #include <thread>
 
@@ -19,7 +17,6 @@ Status SCWFDirector::Initialize(Workflow* workflow, Clock* clock,
         "virtual-clock execution requires a cost model");
   }
   all_receivers_.clear();
-  total_firings_ = 0;
   director_iterations_ = 0;
   CWF_RETURN_NOT_OK(Director::Initialize(workflow, clock, cost_model));
   // Fresh statistics per initialization (stale cost/selectivity figures
@@ -80,21 +77,15 @@ Status SCWFDirector::FireTimeouts(Timestamp now) {
 
 Status SCWFDirector::DispatchActor(Actor* actor) {
 #ifdef CWF_OBS_ENABLED
-  // Profile cells were resolved at Bind; the branch keeps the disabled cost
-  // to one relaxed load (no map lookup).
-  const obs::WorkflowTelemetry::ActorProfileSites sites =
-      obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(actor)
-                              : obs::WorkflowTelemetry::ActorProfileSites{};
+  const obs::ProfileSite* prefire_site =
+      obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(actor).prefire
+                              : nullptr;
 #endif
-  // Per-phase host timing is measured only while metrics are live; the
-  // clock reads vanish entirely when telemetry is compiled out.
-  const bool timed = telemetry_.host_timing_active();
-  const int64_t host_t0 = timed ? obs::HostMonotonicMicros() : 0;
   // Deliver queued windows onto the actor's receiver buffers until its
   // firing precondition holds (one window in the common single-input case).
   bool can_fire = false;
   {
-    CWF_PROFILE_SCOPE(sites.prefire);
+    CWF_PROFILE_SCOPE(prefire_site);
     auto ready = actor->Prefire();
     if (!ready.ok()) {
       return ready.status();
@@ -113,74 +104,22 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
       can_fire = again.value();
     }
   }
-
-  Duration cost = 0;
-  bool fired = false;
+  FiringOutcome outcome;
   if (can_fire) {
-    actor->BeginFiring();
-    // Attribute CHECK-fail context (token/record accessors) to this actor.
-    ScopedCurrentActor current_actor(actor);
-    const Timestamp fire_start = clock_->Now();
-    const int64_t host_t1 = timed ? obs::HostMonotonicMicros() : 0;
-    const auto host_start = std::chrono::steady_clock::now();
-    size_t emitted = 0;
-    {
-      CWF_PROFILE_SCOPE(sites.fire);
-      CWF_RETURN_NOT_OK(actor->Fire());
-      CWF_RETURN_NOT_OK(FlushActorOutputs(actor, &emitted));
-    }
-    const size_t consumed = actor->firing_context().events_consumed;
-    if (clock_->is_virtual()) {
-      cost = cost_model_->FiringCost(actor->name(), consumed, emitted);
-      clock_->AdvanceBy(cost + cost_model_->scheduled_dispatch_overhead);
-    } else {
-      cost = std::chrono::duration_cast<std::chrono::microseconds>(
-                 std::chrono::steady_clock::now() - host_start)
-                 .count();
-    }
-    const int64_t host_t2 = timed ? obs::HostMonotonicMicros() : 0;
-    actor->IncrementFirings();
-    ++total_firings_;
-    fired = true;
-    // Surface the receiver high-water marks (max over input receivers) so
-    // schedulers and tests can compare runtime depth against the planner's
-    // bound without walking the receiver graph themselves.
-    uint64_t high_water = 0;
-    for (const auto& port : actor->input_ports()) {
-      for (size_t c = 0; c < port->ChannelCount(); ++c) {
-        const Receiver* r = port->receiver(c);
-        if (r != nullptr && r->high_water_mark() > high_water) {
-          high_water = r->high_water_mark();
-        }
-      }
-    }
-    telemetry_.RecordQueueDepth(actor, high_water);
-    auto cont = [&] {
-      CWF_PROFILE_SCOPE(sites.postfire);
-      return actor->Postfire();
-    }();
-    if (!cont.ok()) {
-      return cont.status();
-    }
-    obs::FiringRecord record;
-    record.actor = actor;
-    record.cost = cost;
-    record.consumed = consumed;
-    record.emitted = emitted;
-    record.prefire_host_us = timed ? host_t1 - host_t0 : 0;
-    record.fire_host_us = timed ? host_t2 - host_t1 : 0;
-    record.postfire_host_us = timed ? obs::HostMonotonicMicros() - host_t2 : 0;
-    record.start = fire_start;
-    record.end = clock_->Now();
-    const FiringContext& fc = actor->firing_context();
-    record.wave = fc.valid ? &fc.wave : nullptr;
-    telemetry_.RecordFiring(record);
-    if (!cont.value()) {
-      MarkHalted(actor);
-    }
+    CWF_ASSIGN_OR_RETURN(outcome, FireOnce(actor));
   }
-  scheduler_->OnActorFired(actor, cost, fired);
+  scheduler_->OnActorFired(actor, outcome.cost, can_fire);
   return Status::OK();
+}
+
+Duration SCWFDirector::ChargeFiring(const Actor* actor, size_t consumed,
+                                    size_t emitted, Timestamp fire_start) {
+  const Duration cost =
+      Director::ChargeFiring(actor, consumed, emitted, fire_start);
+  if (clock_->is_virtual()) {
+    clock_->AdvanceBy(cost + cost_model_->scheduled_dispatch_overhead);
+  }
+  return cost;
 }
 
 Status SCWFDirector::Run(Timestamp until) {
@@ -208,7 +147,7 @@ Status SCWFDirector::Run(Timestamp until) {
         CWF_RETURN_NOT_OK(FireTimeouts(clock_->Now()));
         next = scheduler_->GetNextActor();
         if (next != nullptr &&
-            (telemetry_.host_timing_active() || obs::TracingEnabled())) {
+            (obs::MetricsEnabled() || obs::TracingEnabled())) {
           obs::SchedulerDecision decision;
           decision.policy = scheduler_->name();
           decision.chosen = next;

@@ -61,8 +61,13 @@ class SCWFDirector : public Director, public SchedulerHost {
   AbstractScheduler* scheduler() { return scheduler_.get(); }
   const ActorStatistics& stats() const { return stats_; }
 
-  uint64_t total_firings() const { return total_firings_; }
   uint64_t director_iterations() const { return director_iterations_; }
+
+ protected:
+  /// Modeled cost plus the scheduled-dispatch overhead, advanced on a
+  /// virtual clock.
+  Duration ChargeFiring(const Actor* actor, size_t consumed, size_t emitted,
+                        Timestamp fire_start) override;
 
  private:
   /// Route a produced window into the scheduler (TM receiver callback).
@@ -72,14 +77,13 @@ class SCWFDirector : public Director, public SchedulerHost {
   /// internal deadline passed (composites with pending inner timeouts).
   Status FireTimeouts(Timestamp now);
 
-  /// Deliver queued windows and fire one actor; updates statistics and
-  /// notifies the scheduler.
+  /// Deliver queued windows until the actor can fire, fire it once
+  /// (Director::FireOnce) and notify the scheduler.
   Status DispatchActor(Actor* actor);
 
   std::unique_ptr<AbstractScheduler> scheduler_;
   ActorStatistics stats_;
   std::vector<Receiver*> all_receivers_;
-  uint64_t total_firings_ = 0;
   uint64_t director_iterations_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "directors/sdf_director.h"
 
-#include "core/wait_graph.h"
-
 #include <utility>
 
 #include "analysis/sdf_balance.h"
@@ -53,35 +51,8 @@ Status SDFDirector::Run(Timestamp until) {
       if (!ready.value()) {
         continue;
       }
-      a->BeginFiring();
-      ScopedCurrentActor current_actor(a);
-      const Timestamp fire_start = clock_->Now();
-      const int64_t host_t0 =
-          telemetry_.host_timing_active() ? obs::HostMonotonicMicros() : 0;
-      CWF_RETURN_NOT_OK(a->Fire());
-      size_t emitted = 0;
-      CWF_RETURN_NOT_OK(FlushActorOutputs(a, &emitted));
-      a->IncrementFirings();
+      CWF_RETURN_NOT_OK(FireOnce(a).status());
       ++fired;
-      auto cont = a->Postfire();
-      if (!cont.ok()) {
-        return cont.status();
-      }
-      obs::FiringRecord record;
-      record.actor = a;
-      record.consumed = a->firing_context().events_consumed;
-      record.emitted = emitted;
-      record.fire_host_us =
-          host_t0 != 0 ? obs::HostMonotonicMicros() - host_t0 : 0;
-      record.cost = record.fire_host_us;
-      record.start = fire_start;
-      record.end = clock_->Now();
-      const FiringContext& fc = a->firing_context();
-      record.wave = fc.valid ? &fc.wave : nullptr;
-      telemetry_.RecordFiring(record);
-      if (!cont.value()) {
-        MarkHalted(a);
-      }
     }
     if (fired == 0) {
       break;

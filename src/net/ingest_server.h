@@ -4,9 +4,8 @@
 //
 // The paper's push actors "connect to external data streams (through TCP or
 // HTTP connections)" and pump tuples "at a rate dictated by the director's
-// execution model". stream/tcp_listener.h reproduces that with a
-// thread-per-connection loop — fine for a handful of sources, hopeless for
-// thousands. IngestServer is the scalable transport underneath:
+// execution model". IngestServer is that transport, built to scale from a
+// handful of sources to thousands of connections:
 //
 //   * One acceptor thread owns the listening socket and hands accepted fds
 //     to N event-loop shards round-robin. Each shard runs a level-triggered
@@ -89,9 +88,9 @@ class IngestServer {
     /// Access-log path ("" = no access log). Connect/close/error events,
     /// one line each, flushed off-thread by a BackgroundWriter.
     std::string access_log_path;
-    /// Close every registered channel on Stop() so a draining workflow
-    /// terminates (the TcpLineListener contract). Turn off when the
-    /// channels outlive the server.
+    /// Close every registered channel on Stop() so a workflow reading
+    /// them drains and terminates. Turn off when the channels outlive the
+    /// server.
     bool close_channels_on_stop = true;
     /// Listen address (the loopback default keeps tests self-contained;
     /// "0.0.0.0" opens the front door).

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -37,14 +38,16 @@ std::string RenderTopTsv(const MetricsRegistry& registry) {
     const uint64_t arrived =
         reg.GetCounter("cwf_actor_events_arrived_total", "actor", actor)
             ->Value();
-    const int64_t hwm =
-        reg.GetGauge("cwf_actor_queue_hwm", "actor", actor)->Max();
-    // Backpressure blocked time is tracked per channel; attribute every
-    // "Actor.port" channel of this actor.
+    // Queue depth and backpressure blocked time are tracked per channel;
+    // attribute every "Actor.port" channel of this actor (HWM = the largest
+    // channel depth gauge maximum).
+    int64_t hwm = 0;
     uint64_t blocked = 0;
     const std::string prefix = actor + ".";
     for (const std::string& port : ports) {
       if (port.rfind(prefix, 0) == 0) {
+        hwm = std::max(
+            hwm, reg.GetGauge("cwf_receiver_depth", "port", port)->Max());
         blocked +=
             reg.GetCounter("cwf_receiver_blocked_us_total", "port", port)
                 ->Value();
@@ -256,7 +259,7 @@ void MetricsServer::Stop() {
   const int listen_fd = listen_fd_.exchange(-1);
   if (listen_fd >= 0) {
     // shutdown() wakes the blocked accept(); the fd is closed only after
-    // the accept thread joined (fd-recycling hazard, see TcpLineListener).
+    // the accept thread joined (fd-recycling hazard, see IngestServer::Stop).
     ::shutdown(listen_fd, SHUT_RDWR);
   }
   if (accept_thread_.joinable()) {

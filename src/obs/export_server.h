@@ -1,5 +1,5 @@
-// The metrics/trace export server: a minimal HTTP/1.0 endpoint over the
-// same loopback-TCP infrastructure as stream/tcp_listener.
+// The metrics/trace export server: a minimal HTTP/1.0 endpoint on a
+// loopback TCP port.
 //
 // Endpoints:
 //   GET /metrics       Prometheus text exposition 0.0.4

@@ -19,20 +19,12 @@ void RegisterHelp(MetricsRegistry& reg) {
   reg.SetHelp("cwf_actor_cost_us",
               "Engine-time firing cost in microseconds (modeled on a virtual "
               "clock, measured on a real clock)");
-  reg.SetHelp("cwf_actor_prefire_us",
-              "Host microseconds spent delivering windows and evaluating "
-              "prefire before a firing");
-  reg.SetHelp("cwf_actor_fire_us",
-              "Host microseconds spent in fire() plus output flushing");
-  reg.SetHelp("cwf_actor_postfire_us", "Host microseconds spent in postfire()");
   reg.SetHelp("cwf_actor_events_consumed_total",
               "Events consumed by firings, per actor");
   reg.SetHelp("cwf_actor_events_emitted_total",
               "Events emitted by firings, per actor");
   reg.SetHelp("cwf_actor_events_arrived_total",
               "Events that arrived at the actor's scheduler queues");
-  reg.SetHelp("cwf_actor_queue_hwm",
-              "Highest input-receiver queue depth observed after a dispatch");
   reg.SetHelp("cwf_sched_decisions_total",
               "Times the scheduler picked this actor");
   reg.SetHelp("cwf_backpressure_deferrals_total",
@@ -72,17 +64,12 @@ void WorkflowTelemetry::Bind(const Workflow& workflow,
     ActorInstruments ai;
     ai.firings = reg.GetCounter("cwf_actor_firings_total", "actor", name);
     ai.cost_us = reg.GetHistogram("cwf_actor_cost_us", "actor", name);
-    ai.prefire_host_us = reg.GetHistogram("cwf_actor_prefire_us", "actor", name);
-    ai.fire_host_us = reg.GetHistogram("cwf_actor_fire_us", "actor", name);
-    ai.postfire_host_us =
-        reg.GetHistogram("cwf_actor_postfire_us", "actor", name);
     ai.consumed =
         reg.GetCounter("cwf_actor_events_consumed_total", "actor", name);
     ai.emitted =
         reg.GetCounter("cwf_actor_events_emitted_total", "actor", name);
     ai.arrived =
         reg.GetCounter("cwf_actor_events_arrived_total", "actor", name);
-    ai.queue_hwm = reg.GetGauge("cwf_actor_queue_hwm", "actor", name);
     ai.decisions = reg.GetCounter("cwf_sched_decisions_total", "actor", name);
     ai.deferrals =
         reg.GetCounter("cwf_backpressure_deferrals_total", "actor", name);
@@ -176,11 +163,6 @@ void WorkflowTelemetry::RecordFiring(const FiringRecord& record) {
   if (MetricsEnabled()) {
     ai->firings->Add(1);
     ai->cost_us->Record(record.cost);
-    if (record.fire_host_us != 0 || record.prefire_host_us != 0) {
-      ai->prefire_host_us->Record(record.prefire_host_us);
-      ai->fire_host_us->Record(record.fire_host_us);
-      ai->postfire_host_us->Record(record.postfire_host_us);
-    }
     if (record.consumed > 0) {
       ai->consumed->Add(record.consumed);
     }
@@ -207,19 +189,6 @@ void WorkflowTelemetry::RecordArrival(const Actor* actor, size_t n,
   const ActorInstruments* ai = Find(actor);
   if (ai != nullptr && MetricsEnabled()) {
     ai->arrived->Add(n);
-  }
-#endif
-}
-
-void WorkflowTelemetry::RecordQueueDepth(const Actor* actor,
-                                         uint64_t high_water) {
-  for (ExecutionObserver* o : observers_) {
-    o->OnQueueDepth(actor, high_water);
-  }
-#ifdef CWF_OBS_ENABLED
-  const ActorInstruments* ai = Find(actor);
-  if (ai != nullptr && MetricsEnabled()) {
-    ai->queue_hwm->Set(static_cast<int64_t>(high_water));
   }
 #endif
 }

@@ -67,12 +67,8 @@ struct ReceiverProbe {
 struct FiringRecord {
   const Actor* actor = nullptr;
   /// Engine-time cost: modeled (virtual clock) or measured (real clock).
+  /// Host time per phase comes from the profiler (obs/profile.h).
   Duration cost = 0;
-  /// Host-side phase durations (µs); zero when host timing is off. The
-  /// prefire figure covers window delivery + prefire evaluation (SCWF).
-  int64_t prefire_host_us = 0;
-  int64_t fire_host_us = 0;
-  int64_t postfire_host_us = 0;
   size_t consumed = 0;
   size_t emitted = 0;
   Timestamp start;  ///< engine time the firing began
@@ -105,10 +101,6 @@ class ExecutionObserver {
     (void)actor;
     (void)n;
     (void)now;
-  }
-  virtual void OnQueueDepth(const Actor* actor, uint64_t high_water) {
-    (void)actor;
-    (void)high_water;
   }
   virtual void OnSchedulerDecision(const SchedulerDecision& decision) {
     (void)decision;
@@ -150,9 +142,6 @@ class WorkflowTelemetry {
   /// \brief `n` events were queued toward `actor` (scheduler enqueue).
   void RecordArrival(const Actor* actor, size_t n, Timestamp now);
 
-  /// \brief Max input-receiver high-water mark observed after a dispatch.
-  void RecordQueueDepth(const Actor* actor, uint64_t high_water);
-
   /// \brief The scheduler picked an actor.
   void RecordDecision(const SchedulerDecision& decision);
 
@@ -177,16 +166,6 @@ class WorkflowTelemetry {
 #endif
   }
 
-  /// \brief Whether the director should spend clock reads on per-phase host
-  /// timing this firing (metrics compiled in, enabled, and bound).
-  bool host_timing_active() const {
-#ifdef CWF_OBS_ENABLED
-    return !actors_.empty() && MetricsEnabled();
-#else
-    return false;
-#endif
-  }
-
   /// \brief Trace track (tid) of `actor`; 0 when unknown / unbound.
   uint32_t TrackFor(const Actor* actor) const;
 
@@ -207,13 +186,9 @@ class WorkflowTelemetry {
   struct ActorInstruments {
     Counter* firings = nullptr;
     Histogram* cost_us = nullptr;
-    Histogram* prefire_host_us = nullptr;
-    Histogram* fire_host_us = nullptr;
-    Histogram* postfire_host_us = nullptr;
     Counter* consumed = nullptr;
     Counter* emitted = nullptr;
     Counter* arrived = nullptr;
-    Gauge* queue_hwm = nullptr;
     Counter* decisions = nullptr;
     Counter* deferrals = nullptr;
     uint32_t tid = 0;  ///< processing-track id in the global tracer

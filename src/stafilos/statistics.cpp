@@ -56,13 +56,6 @@ void ActorStatistics::OnEventsArrived(const Actor* actor, size_t n,
   UpdateRate(&s.input_rate, &s.last_arrival, n, now, alpha_);
 }
 
-void ActorStatistics::OnQueueDepth(const Actor* actor, uint64_t high_water) {
-  ActorStats& s = stats_[actor];
-  if (high_water > s.queue_high_water) {
-    s.queue_high_water = high_water;
-  }
-}
-
 const ActorStats& ActorStatistics::Get(const Actor* actor) const {
   auto it = stats_.find(actor);
   return it == stats_.end() ? empty_ : it->second;

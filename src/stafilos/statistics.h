@@ -38,11 +38,6 @@ struct ActorStats {
   /// Events that arrived at the actor's queues (for input rate).
   uint64_t events_arrived = 0;
 
-  /// Highest queued-unit depth (pending events + ready windows) observed on
-  /// any of the actor's input receivers — the runtime counterpart of the
-  /// capacity planner's per-channel bound.
-  uint64_t queue_high_water = 0;
-
   /// Exponentially smoothed arrival/output rates (events per second).
   double input_rate = 0;
   double output_rate = 0;
@@ -105,11 +100,6 @@ class ActorStatistics : public obs::ExecutionObserver {
 
   /// \brief Record `n` events arriving at `actor`'s input queues.
   void OnEventsArrived(const Actor* actor, size_t n, Timestamp now) override;
-
-  /// \brief Fold a receiver high-water-mark observation into the actor's
-  /// queue_high_water (monotone max). The SCWF director reports the max
-  /// over the actor's input receivers after each dispatch.
-  void OnQueueDepth(const Actor* actor, uint64_t high_water) override;
 
   /// \brief Stats of one actor (zeroed entry if unknown).
   const ActorStats& Get(const Actor* actor) const;

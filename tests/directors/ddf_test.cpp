@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "actors/library.h"
+#include "core/composite_actor.h"
 #include "directors/ddf_director.h"
+#include "directors/scwf_director.h"
+#include "obs/metrics.h"
+#include "stafilos/fifo_scheduler.h"
 #include "stream/stream_source.h"
 
 namespace cwf {
@@ -147,6 +151,47 @@ TEST(DDFTest, WaveStampsPropagateAsChildren) {
   EXPECT_EQ(got[0].wave.root(), got[2].wave.root());
   EXPECT_EQ(got[0].wave.path(), std::vector<uint32_t>{1});
   EXPECT_EQ(got[2].wave.path(), std::vector<uint32_t>{3});
+}
+
+TEST(DDFTest, InnerActorCostIsModeledOnVirtualClock) {
+#ifndef CWF_OBS_ENABLED
+  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
+#endif
+  // src -> composite[DDF: ddf_cost_inner] -> sink under SCWF. The inner
+  // firing's engine-time cost is the cost model's figure, not host time.
+  Workflow wf("outer");
+  auto feed = std::make_shared<PushChannel>();
+  auto* src = wf.AddActor<StreamSourceActor>("src", feed);
+  auto* comp =
+      wf.AddActor<CompositeActor>("comp", std::make_unique<DDFDirector>());
+  auto* inner = comp->inner()->AddActor<MapActor>(
+      "ddf_cost_inner", [](const Token& t) { return Token(t.AsInt() + 1); });
+  comp->ExposeInput("in", inner->in());
+  comp->ExposeOutput("out", inner->out());
+  auto* sink = wf.AddActor<CollectorSink>("sink");
+  ASSERT_TRUE(wf.Connect(src->out(), comp->GetInputPort("in")).ok());
+  ASSERT_TRUE(wf.Connect(comp->GetOutputPort("out"), sink->in()).ok());
+  for (int i = 1; i <= 4; ++i) {
+    feed->Push(Token(i), Timestamp::Seconds(i));
+  }
+  feed->Close();
+
+  obs::MetricsRegistry::Global().Reset();
+  obs::SetMetricsEnabled(true);
+  CostModel cost_model;
+  cost_model.SetActorCost("ddf_cost_inner", CostParams{250, 7, 3});
+  VirtualClock clock;
+  SCWFDirector d(std::make_unique<FIFOScheduler>());
+  ASSERT_TRUE(d.Initialize(&wf, &clock, &cost_model).ok());
+  ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
+  ASSERT_EQ(sink->count(), 4u);
+
+  const obs::Histogram* cost = obs::MetricsRegistry::Global().GetHistogram(
+      "cwf_actor_cost_us", "actor", "ddf_cost_inner");
+  EXPECT_EQ(cost->Count(), 4u);
+  EXPECT_DOUBLE_EQ(cost->Mean(),
+                   static_cast<double>(
+                       cost_model.FiringCost("ddf_cost_inner", 1, 1)));
 }
 
 TEST(DDFTest, RunBeforeInitializeFails) {

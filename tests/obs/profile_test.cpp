@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/wave.h"
+#include "lrb/harness.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
 
@@ -158,6 +161,51 @@ TEST_F(ProfileTest, DecompositionSumsApproximatelyToWall) {
   // exceed it.
   EXPECT_GE(work_delta, wall_delta * 4 / 5);
   EXPECT_LE(work_delta, wall_delta);
+}
+
+TEST_F(ProfileTest, HierarchicalLrbShowsInnerDirectorCells) {
+#ifndef CWF_OBS_ENABLED
+  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
+#endif
+  // Accident detection runs as a DDF composite: its inner actors must get
+  // their own fire cells (Director::FireOnce) instead of vanishing into the
+  // composite's, and the decomposition must still cover the run's wall.
+  using Cell = std::pair<std::string, ProfilePhase>;
+  const auto self_ns = [](const ProfileSnapshot& snapshot) {
+    std::map<Cell, uint64_t> cells;
+    for (const ProfileEntry& e : snapshot.entries) {
+      cells[{e.actor, e.phase}] = e.self_ns;
+    }
+    return cells;
+  };
+  const ProfileSnapshot before = SnapshotProfile(MetricsRegistry::Global());
+  lrb::ExperimentOptions opt;
+  opt.scheduler = lrb::SchedulerKind::kQBS;
+  opt.hierarchical = true;
+  opt.workload.duration = Seconds(180);
+  opt.workload.initial_rate = 12.0;
+  opt.workload.rate_slope_per_sec = 0.0;
+  opt.workload.mean_accident_gap = 20.0;
+  auto res = lrb::RunLRBExperiment(opt);
+  ASSERT_TRUE(res.ok());
+  ASSERT_TRUE(res->status.ok());
+  ASSERT_GT(res->accidents_recorded, 0u);
+  const ProfileSnapshot after = SnapshotProfile(MetricsRegistry::Global());
+
+  std::map<Cell, uint64_t> delta = self_ns(after);
+  for (const auto& [cell, ns] : self_ns(before)) {
+    delta[cell] -= ns;
+  }
+  EXPECT_GT(delta[Cell("DetectStoppedCars", ProfilePhase::kFire)], 0u);
+  EXPECT_GT(delta[Cell("DetectAccidents", ProfilePhase::kFire)], 0u);
+  uint64_t covered = 0;
+  for (const auto& [cell, ns] : delta) {
+    covered += ns;
+  }
+  const uint64_t wall = after.wall_ns - before.wall_ns;
+  ASSERT_GT(wall, 0u);
+  EXPECT_GE(covered, wall * 4 / 5);
+  EXPECT_LE(covered, wall);
 }
 
 TEST_F(ProfileTest, SnapshotRendersTsvAndJson) {

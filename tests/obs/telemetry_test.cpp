@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "actors/library.h"
+#include "directors/pncwf_director.h"
 #include "directors/scwf_director.h"
 #include "obs/export_server.h"
 #include "obs/metrics.h"
@@ -153,6 +158,37 @@ TEST_F(TelemetryTest, InitializeReEntryResetsPerRunState) {
   ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
 }
 
+/// The /top queue_hwm column of `actor` (7th field), or -1 when absent.
+int64_t TopQueueHwm(const std::string& tsv, const std::string& actor) {
+  std::istringstream lines(tsv);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::vector<std::string> row;
+    std::string field;
+    while (std::getline(fields, field, '\t')) {
+      row.push_back(field);
+    }
+    if (row.size() >= 7 && row[0] == actor) {
+      return std::stoll(row[6]);
+    }
+  }
+  return -1;
+}
+
+/// Largest receiver high-water mark over `actor`'s input channels.
+int64_t MaxReceiverHighWater(const Actor* actor) {
+  uint64_t hwm = 0;
+  for (const auto& port : actor->input_ports()) {
+    for (size_t c = 0; c < port->ChannelCount(); ++c) {
+      if (const Receiver* r = port->receiver(c)) {
+        hwm = std::max(hwm, r->high_water_mark());
+      }
+    }
+  }
+  return static_cast<int64_t>(hwm);
+}
+
 TEST_F(TelemetryTest, TopTsvRendersBoundActors) {
 #ifndef CWF_OBS_ENABLED
   GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
@@ -167,6 +203,33 @@ TEST_F(TelemetryTest, TopTsvRendersBoundActors) {
   EXPECT_EQ(tsv.rfind("# ts_us ", 0), 0u);
   EXPECT_NE(tsv.find("actor\tfirings"), std::string::npos);
   EXPECT_NE(tsv.find("\nmap\t4\t"), std::string::npos);
+  // queue_hwm is derived from the per-channel depth gauges, so it matches
+  // the receivers' own high-water marks.
+  for (const auto& actor : rig.wf.actors()) {
+    EXPECT_EQ(TopQueueHwm(tsv, actor->name()),
+              MaxReceiverHighWater(actor.get()))
+        << actor->name();
+  }
+  EXPECT_GT(TopQueueHwm(tsv, "map"), 0);
+
+  // The column is not an SCWF-only figure: the same input under PNCWF
+  // (simulated threads) reports its receivers' marks too.
+  obs::MetricsRegistry::Global().Reset();
+  Rig pn_rig;
+  pn_rig.Feed(16);
+  PNCWFDirector pn;
+  ASSERT_TRUE(pn.Initialize(&pn_rig.wf, &pn_rig.clock, &pn_rig.cm).ok());
+  ASSERT_TRUE(pn.Run(Timestamp::Max()).ok());
+  ASSERT_EQ(pn_rig.sink->TakeSnapshot().size(), 16u);
+  const std::string pn_tsv =
+      obs::RenderTopTsv(obs::MetricsRegistry::Global());
+  for (const auto& actor : pn_rig.wf.actors()) {
+    EXPECT_EQ(TopQueueHwm(pn_tsv, actor->name()),
+              MaxReceiverHighWater(actor.get()))
+        << actor->name();
+  }
+  EXPECT_GT(TopQueueHwm(pn_tsv, "map"), 0);
+  EXPECT_GT(TopQueueHwm(pn_tsv, "sink"), 0);
 }
 
 }  // namespace

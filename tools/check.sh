@@ -98,12 +98,20 @@ cmake -B build-noobs -S . "${GENERATOR_ARGS[@]}" -DCONFLUENCE_OBS=OFF > /dev/nul
 cmake --build build-noobs -j "${JOBS}" --target confluence cwf_lrb_serve \
   bench_compare obs_profile_test > /dev/null
 # A compiled-out build must not reference the profile scope machinery from
-# the hot-path objects (the classes still exist for tests and tools).
-if nm build-noobs/src/CMakeFiles/confluence.dir/core/port.cpp.o 2> /dev/null |
-    grep -q ScopedProfilePhase; then
-  echo "error: port.cpp still references ScopedProfilePhase with OBS off" >&2
-  exit 1
-fi
+# the hot-path objects — ports and the shared firing path (the classes still
+# exist for tests and tools).
+for obj in core/port core/director directors/scwf_director \
+    directors/pncwf_director directors/ddf_director directors/sdf_director; do
+  o="build-noobs/src/CMakeFiles/confluence.dir/${obj}.cpp.o"
+  if [[ ! -f "${o}" ]]; then
+    echo "error: ${o} missing" >&2
+    exit 1
+  fi
+  if nm "${o}" | grep -q ScopedProfilePhase; then
+    echo "error: ${obj}.cpp still references ScopedProfilePhase with OBS off" >&2
+    exit 1
+  fi
+done
 
 if [[ "${FAST}" == "0" ]]; then
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
