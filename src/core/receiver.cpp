@@ -61,10 +61,9 @@ void Receiver::NoteGet() {
     return;
   }
   probe_->gets->Add(1);
-  // Deliberately no depth refresh here: QueueDepth() walks the window
-  // groups (O(#groups), thousands for keyed LRB windows) and is already
-  // paid on every deposit. The depth gauge is deposit-sampled; a get only
-  // shrinks the queue, so the high-water mark cannot be missed.
+  // No depth refresh here: the depth gauge is deposit-sampled (QueueDepth()
+  // is O(1), read on every deposit). A get only shrinks the queue, so the
+  // high-water mark cannot be missed.
 }
 
 void Receiver::NoteBlockedMicros(int64_t micros) {

@@ -76,14 +76,19 @@ void TraceBuffer::Clear() {
 
 uint32_t WaveTracer::RegisterTrack(const std::string& actor_name) {
   ScopedLock lock(mutex_);
-  track_names_.push_back(actor_name);
-  return 10 + 2 * static_cast<uint32_t>(track_names_.size() - 1);
+  auto [it, inserted] = track_index_.try_emplace(
+      actor_name, static_cast<uint32_t>(track_names_.size()));
+  if (inserted) {
+    track_names_.push_back(actor_name);
+  }
+  return 10 + 2 * it->second;
 }
 
 void WaveTracer::ResetTopology(bool clear_buffer) {
   {
     ScopedLock lock(mutex_);
     track_names_.clear();
+    track_index_.clear();
     live_.clear();
   }
   if (clear_buffer) {

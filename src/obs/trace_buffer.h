@@ -93,7 +93,9 @@ class WaveTracer {
   explicit WaveTracer(size_t capacity = 1 << 17) : buffer_(capacity) {}
 
   /// \brief Register an actor track; returns the processing-track tid.
-  /// Called once per actor at Director::Initialize.
+  /// Called once per actor at Director::Initialize. Registering a name that
+  /// already has a track returns its existing tid, so re-initializing the
+  /// same workflow does not grow the track table.
   uint32_t RegisterTrack(const std::string& actor_name);
 
   /// \brief Forget tracks and live waves (Initialize re-entry). The ring
@@ -154,6 +156,8 @@ class WaveTracer {
   mutable OrderedMutex mutex_{"obs::WaveTracer::mutex"};
   /// index = (tid - 10) / 2
   std::vector<std::string> track_names_ CWF_GUARDED_BY(mutex_);
+  /// name -> index into track_names_
+  std::map<std::string, uint32_t> track_index_ CWF_GUARDED_BY(mutex_);
   std::map<uint64_t, LiveWave> live_ CWF_GUARDED_BY(mutex_);
   uint64_t waves_born_ CWF_GUARDED_BY(mutex_) = 0;
   uint64_t waves_closed_ CWF_GUARDED_BY(mutex_) = 0;

@@ -75,6 +75,7 @@ void WindowOperator::PutTuple(GroupState* g, const CWEvent& event,
     return;
   }
   g->queue.push_back(event);
+  ++pending_;
   const size_t size = static_cast<size_t>(spec_.size);
   const size_t step = static_cast<size_t>(spec_.step);
   while (g->queue.size() >= size) {
@@ -83,6 +84,7 @@ void WindowOperator::PutTuple(GroupState* g, const CWEvent& event,
     if (spec_.delete_used_events) {
       // Consumption semantics: the produced window uses up its events.
       g->queue.erase(g->queue.begin(), g->queue.begin() + size);
+      pending_ -= size;
     } else {
       // Slide by `step`; whatever falls before the new window start has left
       // every future window and expires. If the step reaches past the queue
@@ -93,6 +95,7 @@ void WindowOperator::PutTuple(GroupState* g, const CWEvent& event,
         expired_.push_back(std::move(g->queue.front()));
         g->queue.pop_front();
       }
+      pending_ -= drop;
     }
   }
 }
@@ -116,6 +119,7 @@ void WindowOperator::PutTime(GroupState* g, const CWEvent& event,
     }
     if (event.timestamp < g->window_start + size) {
       g->queue.push_back(event);
+      ++pending_;
       return;
     }
     if (g->queue.empty()) {
@@ -139,12 +143,14 @@ void WindowOperator::CloseTimeWindow(GroupState* g, std::vector<Window>* out) {
   }
   g->window_start += spec_.step;
   if (spec_.delete_used_events) {
+    pending_ -= g->queue.size();
     g->queue.clear();
   } else {
     while (!g->queue.empty() &&
            g->queue.front().timestamp < g->window_start) {
       expired_.push_back(std::move(g->queue.front()));
       g->queue.pop_front();
+      --pending_;
     }
   }
 }
@@ -194,6 +200,7 @@ void WindowOperator::PutWave(GroupState* g, const CWEvent& event,
           << g->consumed_wave_frontier.ToString());
   auto& buffer = g->wave_buffers[wave_id];
   buffer.push_back(event);
+  ++pending_;
   if (event.last_in_wave) {
     g->wave_last_serial[wave_id] =
         event.wave.depth() == 0 ? 1 : event.wave.path().back();
@@ -225,11 +232,15 @@ void WindowOperator::PutWave(GroupState* g, const CWEvent& event,
         g->consumed_wave_frontier = dropped;
         g->has_consumed_frontier = true;
       }
-      if (!spec_.delete_used_events) {
-        auto& events = g->wave_buffers[dropped];
-        expired_.insert(expired_.end(), events.begin(), events.end());
+      auto buffer_it = g->wave_buffers.find(dropped);
+      if (buffer_it != g->wave_buffers.end()) {
+        pending_ -= buffer_it->second.size();
+        if (!spec_.delete_used_events) {
+          expired_.insert(expired_.end(), buffer_it->second.begin(),
+                          buffer_it->second.end());
+        }
+        g->wave_buffers.erase(buffer_it);
       }
-      g->wave_buffers.erase(dropped);
       g->completed_waves.pop_front();
     }
   }
@@ -273,6 +284,9 @@ void WindowOperator::Flush(std::vector<Window>* out) {
         out->push_back(std::move(w));
         ++windows_produced_;
       }
+      for (const auto& [tag, events] : g.wave_buffers) {
+        pending_ -= events.size();
+      }
       g.completed_waves.clear();
       g.wave_buffers.clear();
       g.wave_last_serial.clear();
@@ -281,10 +295,14 @@ void WindowOperator::Flush(std::vector<Window>* out) {
     if (!g.queue.empty()) {
       out->push_back(MakeWindow(g, g.queue.size()));
       ++windows_produced_;
+      pending_ -= g.queue.size();
       g.queue.clear();
     }
     UpdateDeadline(key, &g);
   }
+  CWF_DCHECK_MSG(pending_ == CountPendingByWalk(),
+                 "pending-event counter " << pending_ << " != walk "
+                                          << CountPendingByWalk());
 }
 
 std::vector<CWEvent> WindowOperator::DrainExpired() {
@@ -294,6 +312,26 @@ std::vector<CWEvent> WindowOperator::DrainExpired() {
 }
 
 size_t WindowOperator::PendingEventCount() const {
+  CWF_DCHECK_MSG(!PendingCheckDue() || pending_ == CountPendingByWalk(),
+                 "pending-event counter " << pending_ << " != walk "
+                                          << CountPendingByWalk());
+  return pending_;
+}
+
+bool WindowOperator::PendingCheckDue() const {
+  if (calls_until_check_ > 0) {
+    --calls_until_check_;
+    return false;
+  }
+  // A walk visits every group, so spacing walks at least #groups calls
+  // apart keeps the cross-check at O(1) amortized per call; a fixed period
+  // would make DCHECK builds quadratic again as groups accumulate.
+  calls_until_check_ =
+      std::max<uint64_t>(kPendingCheckPeriod, groups_.size());
+  return true;
+}
+
+size_t WindowOperator::CountPendingByWalk() const {
   size_t count = 0;
   for (const auto& [key, g] : groups_) {
     count += g.queue.size();

@@ -60,7 +60,15 @@ class WindowOperator {
   /// \brief Remove and return events that slid out of every future window.
   std::vector<CWEvent> DrainExpired();
 
-  /// \brief Events currently buffered across all groups.
+  /// \brief Events currently buffered across all groups, in O(1).
+  ///
+  /// Invariant: `pending_` equals the sum over every group of its tuple/time
+  /// queue length plus the sizes of its wave buffers. Every path that adds or
+  /// removes a buffered event (PutTuple/PutTime/PutWave, CloseTimeWindow,
+  /// Flush) adjusts it in the same step. DCHECK builds cross-check it
+  /// against CountPendingByWalk() at the end of every Flush and on a sparse
+  /// schedule of calls here (see PendingCheckDue()); elsewhere the walk is
+  /// never reached.
   size_t PendingEventCount() const;
 
   /// \brief Number of distinct group-by partitions seen so far.
@@ -108,12 +116,26 @@ class WindowOperator {
 
   Window MakeWindow(const GroupState& g, size_t count) const;
 
+  /// O(groups) recount of the buffered events: the DCHECK reference for
+  /// `pending_`.
+  size_t CountPendingByWalk() const;
+
+  /// True on the first PendingEventCount() call and then once every
+  /// max(kPendingCheckPeriod, GroupCount()) calls.
+  bool PendingCheckDue() const;
+
+  static constexpr uint64_t kPendingCheckPeriod = 1024;
+
   WindowSpec spec_;
   std::map<GroupKey, GroupState> groups_;
   /// Pending time-window deadlines, earliest first.
   std::multimap<Timestamp, GroupKey> deadline_index_;
   std::vector<CWEvent> expired_;
   uint64_t windows_produced_ = 0;
+  /// Events buffered across all groups (see PendingEventCount()).
+  size_t pending_ = 0;
+  /// PendingEventCount() calls left before the next DCHECK cross-check.
+  mutable uint64_t calls_until_check_ = 0;
 };
 
 }  // namespace cwf

@@ -1,6 +1,7 @@
 // Determinism golden: the simulated outputs of one fixed-seed Linear Road
 // run per execution model, hierarchical (inner DDF composite) and flat,
-// checked exactly. Any refactor of the directors, schedulers or receivers
+// checked exactly, plus the six Figure 8 configurations over the paper's
+// full 600 s ramp. Any refactor of the directors, schedulers or receivers
 // must leave every figure below unchanged; a legitimate behavior change
 // re-records the table (the failure message prints the new row).
 
@@ -77,11 +78,8 @@ std::string Row(const Golden& g, const ExperimentResult& r) {
   return buf;
 }
 
-class DeterminismGolden : public ::testing::TestWithParam<Golden> {};
-
-TEST_P(DeterminismGolden, SimulatedOutputsMatchExactly) {
-  const Golden& g = GetParam();
-  auto res = RunLRBExperiment(GoldenOptions(g));
+void ExpectMatches(const Golden& g, const ExperimentOptions& options) {
+  auto res = RunLRBExperiment(options);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   ASSERT_TRUE(res->status.ok()) << res->status.ToString();
   const ExperimentResult& r = *res;
@@ -97,12 +95,51 @@ TEST_P(DeterminismGolden, SimulatedOutputsMatchExactly) {
   EXPECT_EQ(r.toll_max_response_s, g.toll_max_response_s);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllExecutionModels, DeterminismGolden, ::testing::ValuesIn(kGoldens),
-    [](const ::testing::TestParamInfo<Golden>& info) {
-      return std::string(SchedulerKindName(info.param.kind)) +
-             (info.param.hierarchical ? "_Hierarchical" : "_Flat");
-    });
+class DeterminismGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(DeterminismGolden, SimulatedOutputsMatchExactly) {
+  ExpectMatches(GetParam(), GoldenOptions(GetParam()));
+}
+
+std::string GoldenName(const ::testing::TestParamInfo<Golden>& info) {
+  return std::string(SchedulerKindName(info.param.kind)) +
+         (info.param.hierarchical ? "_Hierarchical" : "_Flat");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllExecutionModels, DeterminismGolden,
+                         ::testing::ValuesIn(kGoldens), GoldenName);
+
+// Figure 8 (bench_fig8_all_schedulers): QBS-q500, RR-q40000, RB, PNCWF,
+// FIFO and EDF over the paper's full 600 s Figure 5 ramp. The same runs
+// produce the `metrics` blocks of bench/baselines/BENCH_fig8_*.json, which
+// print these figures rounded to six significant digits.
+constexpr Golden kFig8Goldens[] = {
+    // clang-format off
+    {SchedulerKind::kQBS, true, 324427, 17803, 28825, 4734, 28835, 5, 12.007595473339116, 51.749316999999998, 55.295940000000002},
+    {SchedulerKind::kRR, true, 324761, 18793, 28684, 4796, 28690, 5, 12.426018665632409, 53.212045000000003, 56.594047000000003},
+    {SchedulerKind::kRB, true, 301219, 37382, 29333, 3936, 29468, 4, 13.611156549074421, 54.722349999999999, 69.707988999999998},
+    {SchedulerKind::kPNCWF, true, 238162, 0, 21715, 2815, 21715, 5, 34.634155209947039, 123.50238, 133.13003499999999},
+    {SchedulerKind::kFIFO, true, 315725, 16395, 27142, 1764, 31197, 3, 13.206324830668338, 58.694021999999997, 71.905590000000004},
+    {SchedulerKind::kEDF, true, 318958, 16419, 28282, 3721, 31186, 4, 13.995666326780285, 52.953477999999997, 60.148353999999998},
+    // clang-format on
+};
+
+ExperimentOptions Fig8Options(const Golden& g) {
+  ExperimentOptions opt;
+  opt.scheduler = g.kind;
+  opt.qbs.basic_quantum = 500;
+  opt.rr.slice = 40000;
+  return opt;
+}
+
+class Fig8DeterminismGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(Fig8DeterminismGolden, SimulatedOutputsMatchExactly) {
+  ExpectMatches(GetParam(), Fig8Options(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchedulers, Fig8DeterminismGolden,
+                         ::testing::ValuesIn(kFig8Goldens), GoldenName);
 
 }  // namespace
 }  // namespace cwf::lrb

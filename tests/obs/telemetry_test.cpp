@@ -158,6 +158,30 @@ TEST_F(TelemetryTest, InitializeReEntryResetsPerRunState) {
   ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
 }
 
+TEST_F(TelemetryTest, RebindingSameWorkflowKeepsTrackTable) {
+#ifndef CWF_OBS_ENABLED
+  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
+#endif
+  Rig rig;
+  obs::WorkflowTelemetry telemetry;
+  telemetry.Bind(rig.wf, "SCWF");
+  const size_t tracks = obs::GlobalTracer().TrackNames().size();
+  std::vector<uint32_t> tids;
+  for (const auto& actor : rig.wf.actors()) {
+    tids.push_back(telemetry.TrackFor(actor.get()));
+    EXPECT_NE(tids.back(), 0u) << actor->name();
+  }
+  // Every Build+Initialize re-binds; the track table must not grow with it.
+  for (int i = 0; i < 100; ++i) {
+    telemetry.Bind(rig.wf, "SCWF");
+  }
+  EXPECT_EQ(obs::GlobalTracer().TrackNames().size(), tracks);
+  for (size_t i = 0; i < rig.wf.actors().size(); ++i) {
+    EXPECT_EQ(telemetry.TrackFor(rig.wf.actors()[i].get()), tids[i])
+        << rig.wf.actors()[i]->name();
+  }
+}
+
 /// The /top queue_hwm column of `actor` (7th field), or -1 when absent.
 int64_t TopQueueHwm(const std::string& tsv, const std::string& actor) {
   std::istringstream lines(tsv);

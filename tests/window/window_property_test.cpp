@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <random>
+#include <string>
 
 #include "test_util.h"
 #include "window/window_operator.h"
@@ -171,6 +174,146 @@ TEST_P(GroupByProperty, EquivalentToPerKeyOperators) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GroupByProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// Pending-counter property: over a random mix of grouped Puts (including
+// time stragglers and interleaved sub-waves), timeouts and flushes, the O(1)
+// PendingEventCount() equals a brute-force count kept outside the operator:
+// every event put, minus every event expired, minus (under consumption
+// semantics) every event handed out in a window; Flush empties everything.
+struct CounterParams {
+  WindowUnit unit;
+  bool delete_used;
+  uint64_t seed;
+};
+
+std::string CounterName(const CounterParams& p) {
+  const char* unit = p.unit == WindowUnit::kTuples ? "Tuples"
+                     : p.unit == WindowUnit::kTime ? "Time"
+                                                   : "Waves";
+  return std::string(unit) + (p.delete_used ? "_Consume_Seed" : "_Slide_Seed") +
+         std::to_string(p.seed);
+}
+
+void PrintTo(const CounterParams& p, std::ostream* os) {
+  *os << CounterName(p);
+}
+
+class PendingCounterProperty
+    : public ::testing::TestWithParam<CounterParams> {};
+
+TEST_P(PendingCounterProperty, MatchesBruteForceCountAfterEveryOperation) {
+  const CounterParams p = GetParam();
+  std::mt19937_64 rng(p.seed);
+  auto uniform = [&rng](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  const int64_t size = uniform(1, 4);
+  const int64_t step = uniform(1, 5);
+  WindowSpec spec = WindowSpec::Waves(size, step);
+  if (p.unit == WindowUnit::kTuples) {
+    spec = WindowSpec::Tuples(size, step);
+  } else if (p.unit == WindowUnit::kTime) {
+    spec = WindowSpec::Time(Seconds(size), Seconds(step))
+               .FormationTimeout(Seconds(1));
+  }
+  WindowOperator op(spec.GroupBy({"k"}).DeleteUsedEvents(p.delete_used));
+  SCOPED_TRACE("size=" + std::to_string(size) +
+               " step=" + std::to_string(step));
+
+  // Open (incomplete) waves: tag, serials still to send, last serial.
+  struct OpenWave {
+    WaveTag tag;
+    int64_t key;
+    std::vector<uint32_t> unsent;
+    uint32_t last;
+  };
+  std::vector<OpenWave> open_waves;
+  uint64_t next_root = 1;
+  int64_t now_us = 0;
+  int64_t expected = 0;
+
+  std::vector<Window> out;
+  auto settle = [&](size_t windows_before) {
+    if (p.delete_used) {
+      for (size_t i = windows_before; i < out.size(); ++i) {
+        expected -= static_cast<int64_t>(out[i].size());
+      }
+    }
+    expected -= static_cast<int64_t>(op.DrainExpired().size());
+  };
+
+  for (int i = 0; i < 2000; ++i) {
+    const size_t before = out.size();
+    const int64_t roll = uniform(0, 99);
+    if (roll == 0) {
+      op.Flush(&out);
+      op.DrainExpired();
+      open_waves.clear();
+      expected = 0;
+    } else if (roll < 8 && p.unit == WindowUnit::kTime) {
+      now_us += uniform(0, Seconds(3));
+      op.OnTimeout(Timestamp(now_us), &out);
+      settle(before);
+    } else {
+      const int64_t key = uniform(0, 4);
+      CWEvent e = Ev(testutil::Rec({{"k", Value(key)}}), now_us);
+      if (p.unit == WindowUnit::kTime) {
+        now_us += uniform(0, Seconds(2));
+        // One event in ten is a straggler from up to 15 s back.
+        e.timestamp = Timestamp(
+            uniform(0, 9) == 0
+                ? std::max<int64_t>(0, now_us - uniform(0, Seconds(15)))
+                : now_us);
+      } else if (p.unit == WindowUnit::kWaves) {
+        size_t pick = 0;
+        if (open_waves.empty() || uniform(0, 2) == 0) {
+          const uint32_t m = static_cast<uint32_t>(uniform(1, 3));
+          OpenWave w{WaveTag::Root(next_root++), key, {}, m};
+          for (uint32_t s = 1; s <= m; ++s) {
+            w.unsent.push_back(s);
+          }
+          std::shuffle(w.unsent.begin(), w.unsent.end(), rng);
+          open_waves.push_back(std::move(w));
+          // A new wave sends its first event at once: a wave id must reach
+          // the operator before any later wave of its group is consumed.
+          pick = open_waves.size() - 1;
+        } else {
+          pick = static_cast<size_t>(
+              uniform(0, static_cast<int64_t>(open_waves.size()) - 1));
+        }
+        OpenWave& w = open_waves[pick];
+        const uint32_t serial = w.unsent.back();
+        w.unsent.pop_back();
+        e.token = testutil::Rec({{"k", Value(w.key)}});
+        e.wave = w.tag.Child(serial);
+        e.last_in_wave = serial == w.last;
+        if (w.unsent.empty()) {
+          open_waves.erase(open_waves.begin() + static_cast<ptrdiff_t>(pick));
+        }
+      }
+      ASSERT_TRUE(op.Put(e, &out).ok());
+      ++expected;
+      settle(before);
+    }
+    ASSERT_EQ(static_cast<int64_t>(op.PendingEventCount()), expected)
+        << "after operation " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, PendingCounterProperty,
+    ::testing::Values(CounterParams{WindowUnit::kTuples, false, 1},
+                      CounterParams{WindowUnit::kTuples, true, 2},
+                      CounterParams{WindowUnit::kTuples, false, 3},
+                      CounterParams{WindowUnit::kTime, false, 4},
+                      CounterParams{WindowUnit::kTime, true, 5},
+                      CounterParams{WindowUnit::kTime, false, 6},
+                      CounterParams{WindowUnit::kWaves, false, 7},
+                      CounterParams{WindowUnit::kWaves, true, 8},
+                      CounterParams{WindowUnit::kWaves, false, 9}),
+    [](const ::testing::TestParamInfo<CounterParams>& info) {
+      return CounterName(info.param);
+    });
 
 }  // namespace
 }  // namespace cwf
