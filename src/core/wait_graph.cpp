@@ -207,6 +207,7 @@ void ChannelWaitGraph::Reset() {
   channels_.clear();
   blocked_.clear();
   epochs_.clear();
+  ++version_;
 }
 
 void ChannelWaitGraph::RegisterChannel(const Receiver* receiver,
@@ -250,6 +251,7 @@ void ChannelWaitGraph::OnPutBlocked(const Actor* waiter,
   entry.put_blocked = true;
   entry.get_ports.clear();
   entry.put_targets.assign(1, std::move(target));
+  ++version_;
   if (fresh) {
     AdjustBlockedGauge(1);
   }
@@ -262,6 +264,7 @@ void ChannelWaitGraph::OnPutUnblocked(const Actor* waiter) {
   ScopedLock lock(mutex_);
   if (blocked_.erase(waiter) > 0) {
     ++epochs_[waiter];
+    ++version_;
     AdjustBlockedGauge(-1);
   }
 }
@@ -281,6 +284,7 @@ void ChannelWaitGraph::OnGetBlocked(
   entry.put_blocked = false;
   entry.put_targets.clear();
   entry.get_ports = std::move(ports);
+  ++version_;
   if (fresh) {
     AdjustBlockedGauge(1);
   }
@@ -293,6 +297,7 @@ void ChannelWaitGraph::OnGetUnblocked(const Actor* waiter) {
   ScopedLock lock(mutex_);
   if (blocked_.erase(waiter) > 0) {
     ++epochs_[waiter];
+    ++version_;
     AdjustBlockedGauge(-1);
   }
 }
@@ -300,6 +305,11 @@ void ChannelWaitGraph::OnGetUnblocked(const Actor* waiter) {
 size_t ChannelWaitGraph::BlockedCount() const {
   ScopedLock lock(mutex_);
   return blocked_.size();
+}
+
+uint64_t ChannelWaitGraph::Version() const {
+  ScopedLock lock(mutex_);
+  return version_;
 }
 
 std::vector<WaitNode> ChannelWaitGraph::Snapshot() const {

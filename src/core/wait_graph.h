@@ -16,9 +16,10 @@
 //   - EvaluateWaitGraph computes the actors that can never progress (a
 //     least-fixpoint over "a blocked actor is live iff what it waits on is
 //     live") and extracts one witness cycle for the report;
-//   - the PNCWF director polls the graph from its drain loop, confirms a
-//     stable candidate against actual receiver state, and turns the former
-//     silent hang into a CWF6005 FailedPrecondition naming the cycle.
+//   - the PNCWF director checks the graph from its Run() loop once per
+//     watchdog period, confirms a stable candidate against actual receiver
+//     state, and turns the former silent hang into a CWF6005
+//     FailedPrecondition naming the cycle.
 //
 // The static liveness pass (analysis/liveness_pass.h) reuses
 // EvaluateWaitGraph on simulated states so the runtime report and the
@@ -67,7 +68,7 @@ struct WaitNode {
   /// Get edges: one alternative list per windowless input port. The port is
   /// satisfied by ANY alternative; the actor needs EVERY port (AND of ORs).
   std::vector<std::vector<WaitTarget>> get_ports;
-  /// Unblock generation at snapshot time; a changed epoch between polls
+  /// Unblock generation at snapshot time; a changed epoch between checks
   /// means the actor made progress and the candidate must be discarded.
   uint64_t epoch = 0;
 };
@@ -115,7 +116,7 @@ DeadlockReport EvaluateWaitGraph(const std::vector<WaitNode>& blocked);
 /// \brief Registry of currently-blocked actors for one director instance.
 ///
 /// Mirrors the LockRegistry pattern: cheap O(1) registration on the
-/// blocking paths, detection work deferred to the watchdog poll. All state
+/// blocking paths, detection work deferred to the watchdog check. All state
 /// is guarded by one mutex; Snapshot() copies it out so evaluation and
 /// receiver-state validation never run under this lock (registration
 /// happens while the consumer's ActorSync mutex is held, so holding
@@ -175,6 +176,10 @@ class ChannelWaitGraph {
   /// waiter's current unblock epoch.
   std::vector<WaitNode> Snapshot() const CWF_EXCLUDES(mutex_);
 
+  /// \brief Bumped by every registration change: an unchanged value means
+  /// an unchanged Snapshot(), so a live verdict still holds.
+  uint64_t Version() const CWF_EXCLUDES(mutex_);
+
   /// \brief Test hook: when set, confirmed deadlock reports are handed to
   /// `handler` (in addition to the error log).
   using ReportHandler = std::function<void(const std::string& report)>;
@@ -200,6 +205,7 @@ class ChannelWaitGraph {
   std::map<const Receiver*, ChannelInfo> channels_ CWF_GUARDED_BY(mutex_);
   std::map<const Actor*, Entry> blocked_ CWF_GUARDED_BY(mutex_);
   std::map<const Actor*, uint64_t> epochs_ CWF_GUARDED_BY(mutex_);
+  uint64_t version_ CWF_GUARDED_BY(mutex_) = 0;
   ReportHandler report_handler_ CWF_GUARDED_BY(mutex_);
 };
 

@@ -40,10 +40,9 @@ class BlockingWindowedReceiver : public WindowedReceiver {
     Status st;
     {
       std::unique_lock<OrderedRecursiveMutex> lock(*mutex_);
-      // Blocking-put backpressure. Timed waits keep the producer
-      // responsive to shutdown; after stop the deposit proceeds regardless
-      // (an event the producer already committed to must not be lost), so
-      // the capacity invariant is a steady-state property.
+      // Blocking-put backpressure. After stop the deposit proceeds
+      // regardless (an event the producer already committed to must not be
+      // lost), so the capacity invariant is a steady-state property.
       if (overflow_policy() == OverflowPolicy::kBlock && AtCapacity() &&
           !stop_->load()) {
         // Register the put edge so the watchdog sees this producer parked
@@ -55,10 +54,11 @@ class BlockingWindowedReceiver : public WindowedReceiver {
         const int64_t blocked_from = obs::HostMonotonicMicros();
         while (overflow_policy() == OverflowPolicy::kBlock && AtCapacity() &&
                !stop_->load()) {
-          // Timed poll: the enclosing while re-checks capacity, the stop
-          // flag and the overflow policy on every tick.
-          // cwf-tidy-allow(cwf-unbounded-wait): deliberate re-checking poll
-          cv_->wait_for(lock, std::chrono::milliseconds(1));
+          // Parks until the consumer's Get(), Flush() or OnTimeout() frees
+          // space, or the director's stop (WakeAll() takes this mutex
+          // before notifying, so the stop check above cannot miss it).
+          // cwf-tidy-allow(cwf-unbounded-wait): woken by Get/Flush/OnTimeout or stop; the while re-checks
+          cv_->wait(lock);
         }
         wait_graph_->OnPutUnblocked(waiter);
         const int64_t blocked_us = obs::HostMonotonicMicros() - blocked_from;
@@ -143,9 +143,7 @@ PNCWFDirector::PNCWFDirector(PNCWFOptions options) : options_(options) {}
 
 PNCWFDirector::~PNCWFDirector() {
   stop_ = true;
-  for (auto& [actor, sync] : syncs_) {
-    sync->cv.notify_all();
-  }
+  WakeAll();
   for (std::thread& t : threads_) {
     if (t.joinable()) {
       t.join();
@@ -180,6 +178,7 @@ Status PNCWFDirector::Initialize(Workflow* workflow, Clock* clock,
   }
   stop_ = false;
   busy_ = 0;
+  loop_timed_wakeups_ = 0;
   context_switches_ = 0;
   CWF_RETURN_NOT_OK(Director::Initialize(workflow, clock, cost_model));
   // Teach the wait graph this workflow's channel topology so blocking
@@ -205,6 +204,14 @@ std::unique_ptr<Receiver> PNCWFDirector::CreateReceiver(InputPort* port) {
   ActorSync* sync = syncs_.at(port->actor()).get();
   return std::make_unique<BlockingWindowedReceiver>(
       port, port->spec(), &sync->mutex, &sync->cv, &stop_, &wait_graph_);
+}
+
+uint64_t PNCWFDirector::timed_wakeups(const Actor* actor) const {
+  if (actor == nullptr) {
+    return loop_timed_wakeups_.load();
+  }
+  auto it = syncs_.find(actor);
+  return it == syncs_.end() ? 0 : it->second->timed_wakeups.load();
 }
 
 bool PNCWFDirector::DownstreamAtCapacity(const Actor* actor) const {
@@ -382,8 +389,56 @@ Status PNCWFDirector::RunSimulated(Timestamp until) {
 // OS-thread mode: one thread per actor, blocking windowed receivers.
 // ---------------------------------------------------------------------------
 
-// ts-allowlist: condition-variable wait — the blocked-on-empty-input sleep
-// releases/reacquires the actor's sync mutex through cv.wait_for() on a
+namespace {
+
+/// Cap on a starved actor's timed wait: Clock has no engine-to-wall
+/// conversion, so a deadline on a clock running faster than the wall is
+/// approached in steps of at most this much.
+constexpr Duration kMaxDeadlineWait = Millis(10);
+constexpr Duration kMinDeadlineWait = Micros(100);
+
+constexpr Duration kWatchdogMicros =
+    std::chrono::duration_cast<std::chrono::microseconds>(
+        PNCWFDirector::kWatchdogPeriod)
+        .count();
+
+}  // namespace
+
+Result<FiringOutcome> PNCWFDirector::FireTracked(Actor* actor,
+                                                 ActorSync* sync) {
+  activity_.fetch_add(1);
+  busy_.fetch_add(1);
+  auto outcome = FireOnce(actor);
+  // Published before busy_ drops, so a Run() loop that reads busy_ == 0
+  // also sees the deadline this firing left behind.
+  sync->own_deadline.store(actor->NextDeadline());
+  busy_.fetch_sub(1);
+  return outcome;
+}
+
+void PNCWFDirector::NotifyParked() {
+  if (sources_running_.load() != 0) {
+    return;  // cannot drain yet; the watchdog period covers the rest
+  }
+  {
+    ScopedLock lock(loop_mutex_);
+    ++loop_seq_;
+  }
+  loop_cv_.notify_one();
+}
+
+void PNCWFDirector::WakeAll() {
+  for (auto& [actor, sync] : syncs_) {
+    // A thread that read stop_ == false under this mutex is either still
+    // holding it or already waiting; taking it orders the notify after
+    // that thread's wait.
+    { ScopedLock lock(sync->mutex); }
+    sync->cv.notify_all();
+  }
+}
+
+// ts-allowlist: condition-variable wait — the blocked-on-empty-input park
+// releases/reacquires the actor's sync mutex through cv.wait() on a
 // std::unique_lock, which the thread-safety analysis cannot model.
 void PNCWFDirector::ActorThreadBody(Actor* actor)
     CWF_NO_THREAD_SAFETY_ANALYSIS {
@@ -419,19 +474,20 @@ void PNCWFDirector::ActorThreadBody(Actor* actor)
           break;
         }
         // Blocked on empty inputs: honour pending window-formation
-        // timeouts, then sleep until data, a deadline, or a poll tick.
-        Timestamp deadline = Timestamp::Max();
+        // timeouts and find the earliest deadline, the actor's own
+        // (e.g. a DelayActor's next release) included.
+        Timestamp deadline = actor->NextDeadline();
+        const Timestamp now = clock_->Now();
         for (const auto& port : actor->input_ports()) {
           for (size_t c = 0; c < port->ChannelCount(); ++c) {
             Receiver* r = port->receiver(c);
             if (r == nullptr) {
               continue;
             }
-            if (r->NextDeadline() <= clock_->Now()) {
-              r->OnTimeout(clock_->Now());
-            } else if (r->NextDeadline() < deadline) {
-              deadline = r->NextDeadline();
+            if (r->NextDeadline() <= now) {
+              r->OnTimeout(now);
             }
+            deadline = std::min(deadline, r->NextDeadline());
           }
         }
         auto again = [&] {
@@ -450,21 +506,22 @@ void PNCWFDirector::ActorThreadBody(Actor* actor)
         // an upsert — it refreshes the edges without bumping the unblock
         // epoch, so a stable candidate stays stable.
         wait_graph_.OnGetBlocked(actor, BuildGetWaits(actor));
-        Duration wait = options_.poll_interval;
-        if (deadline != Timestamp::Max()) {
-          wait = std::min<Duration>(
-              wait * 10, std::max<Duration>(deadline - clock_->Now(), 100));
+        NotifyParked();
+        if (deadline == Timestamp::Max()) {
+          // cwf-tidy-allow(cwf-unbounded-wait): woken by a deposit, OnTimeout or Flush on this actor's receivers, or stop (WakeAll); the for re-runs prefire
+          sync->cv.wait(lock);
+        } else {
+          const Duration wait = std::clamp<Duration>(
+              deadline - clock_->Now(), kMinDeadlineWait, kMaxDeadlineWait);
+          if (sync->cv.wait_for(lock, std::chrono::microseconds(wait)) ==
+              std::cv_status::timeout) {
+            sync->timed_wakeups.fetch_add(1);
+          }
         }
-        // Timed poll: the enclosing for re-runs the prefire predicate and
-        // the stop flag after every wakeup.
-        // cwf-tidy-allow(cwf-unbounded-wait): deliberate re-checking poll
-        sync->cv.wait_for(lock, std::chrono::microseconds(wait));
       }
       wait_graph_.OnGetUnblocked(actor);
     }
-    busy_.fetch_add(1);
-    auto outcome = FireOnce(actor);
-    busy_.fetch_sub(1);
+    auto outcome = FireTracked(actor, sync);
     if (!outcome.ok()) {
       CWF_CLOG(kError, "pncwf") << "actor '" << actor->name()
                       << "' failed: " << outcome.status().ToString();
@@ -477,30 +534,36 @@ void PNCWFDirector::ActorThreadBody(Actor* actor)
 }
 
 void PNCWFDirector::SourceThreadBody(Actor* actor) {
-  auto* src = dynamic_cast<TimedSource*>(actor);
+  ActorSync* sync = syncs_.at(actor).get();
+  const auto* src = dynamic_cast<const TimedSource*>(actor);
   for (;;) {
     if (stop_.load()) {
       return;
     }
-    const Timestamp next =
-        src != nullptr ? src->NextPendingArrival() : Timestamp(0);
-    const Timestamp now = clock_->Now();
-    if (next == Timestamp::Max()) {
-      if (src != nullptr && src->Exhausted()) {
-        return;
+    if (src != nullptr) {
+      const Timestamp next = src->NextPendingArrival();
+      const Timestamp now = clock_->Now();
+      if (next == Timestamp::Max()) {
+        if (src->Exhausted()) {
+          return;
+        }
+        // Empty feed: park until a push or close. The watchdog period
+        // bounds the park so stop reaches this thread promptly.
+        if (!src->WaitForData(kWatchdogPeriod)) {
+          sync->timed_wakeups.fetch_add(1);
+        }
+        continue;
       }
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.poll_interval));
-      continue;
+      if (next > now) {
+        // Queued but not yet arrived: sleep until the arrival, in steps of
+        // at most the watchdog period.
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(std::min(next - now, kWatchdogMicros)));
+        sync->timed_wakeups.fetch_add(1);
+        continue;
+      }
     }
-    if (next > now) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          std::min<Duration>(next - now, options_.poll_interval * 10)));
-      continue;
-    }
-    busy_.fetch_add(1);
-    auto outcome = FireOnce(actor);
-    busy_.fetch_sub(1);
+    auto outcome = FireTracked(actor, sync);
     if (!outcome.ok()) {
       CWF_CLOG(kError, "pncwf") << "source '" << actor->name()
                       << "' failed: " << outcome.status().ToString();
@@ -593,7 +656,7 @@ Status PNCWFDirector::ConfirmDeadlock(const DeadlockReport& report) {
 }
 
 bool PNCWFDirector::AllQuiescent() const {
-  if (busy_.load() != 0) {
+  if (busy_.load() != 0 || sources_running_.load() != 0) {
     return false;
   }
   for (const auto& actor : workflow_->actors()) {
@@ -601,6 +664,11 @@ bool PNCWFDirector::AllQuiescent() const {
       if (!src->Exhausted()) {
         return false;
       }
+    }
+    // Held work with a deadline (a DelayActor's in-flight events, a
+    // composite's inner timer) is future work too.
+    if (syncs_.at(actor.get())->own_deadline.load() != Timestamp::Max()) {
+      return false;
     }
     for (const auto& port : actor->input_ports()) {
       if (port->ReadyWindowCount() > 0) {
@@ -619,47 +687,105 @@ bool PNCWFDirector::AllQuiescent() const {
   return true;
 }
 
-Status PNCWFDirector::RunThreaded(Timestamp until) {
+// ts-allowlist: condition-variable wait — the loop parks on loop_cv_
+// through a std::unique_lock, which the thread-safety analysis cannot model.
+Status PNCWFDirector::RunThreaded(Timestamp until)
+    CWF_NO_THREAD_SAFETY_ANALYSIS {
+  using SteadyClock = std::chrono::steady_clock;
   CWF_PROFILE_WALL_SCOPE();
   threads_.clear();
   stop_ = false;
+  sources_running_ = 0;
   for (const auto& actor : workflow_->actors()) {
-    Actor* a = actor.get();
-    if (a->IsSource()) {
-      threads_.emplace_back([this, a] { SourceThreadBody(a); });
-    } else {
-      threads_.emplace_back([this, a] { ActorThreadBody(a); });
+    syncs_.at(actor.get())->own_deadline.store(actor->NextDeadline());
+    if (actor->IsSource()) {
+      sources_running_.fetch_add(1);
     }
   }
-  int quiet = 0;
+  uint64_t seen = 0;
+  {
+    ScopedLock lock(loop_mutex_);
+    seen = loop_seq_;
+  }
+  for (const auto& actor : workflow_->actors()) {
+    Actor* a = actor.get();
+    // An exiting thread counts as parked: it may be the last one busy.
+    if (a->IsSource()) {
+      threads_.emplace_back([this, a] {
+        SourceThreadBody(a);
+        sources_running_.fetch_sub(1);
+        NotifyParked();
+      });
+    } else {
+      threads_.emplace_back([this, a] {
+        ActorThreadBody(a);
+        NotifyParked();
+      });
+    }
+  }
+  SteadyClock::time_point next_watchdog = SteadyClock::now() + kWatchdogPeriod;
   // Artificial-deadlock watchdog state: a candidate dead set must stay
-  // identical (same actors, same unblock epochs) across this many polls
-  // before it is revalidated against live receiver state and reported.
+  // identical (same actors, same unblock epochs) across this many watchdog
+  // checks before it is revalidated against live receiver state and
+  // reported.
+  constexpr int kStableChecks = 3;
   std::vector<std::pair<const Actor*, uint64_t>> candidate;
-  int stable_polls = 0;
+  int stable_checks = 0;
+  // Wait-graph version of the last live verdict; an idle deployment's
+  // graph does not change, so its check stops at the version read.
+  uint64_t live_version = 0;
+  bool live_verdict = false;
   Status deadlock_status = Status::OK();
   for (;;) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.poll_interval));
+    {
+      // Park until a thread parks or exits (NotifyParked), the next
+      // watchdog check, or the horizon. Engine time may run faster than
+      // the wall, so the horizon wait is capped by the watchdog period.
+      SteadyClock::time_point wake_at = next_watchdog;
+      if (until != Timestamp::Max()) {
+        const Duration left =
+            std::clamp<Duration>(until - clock_->Now(), 0, kWatchdogMicros);
+        wake_at = std::min(wake_at,
+                           SteadyClock::now() + std::chrono::microseconds(left));
+      }
+      std::unique_lock<OrderedMutex> lock(loop_mutex_);
+      while (loop_seq_ == seen) {
+        if (loop_cv_.wait_until(lock, wake_at) == std::cv_status::timeout) {
+          loop_timed_wakeups_.fetch_add(1);
+          break;
+        }
+      }
+      seen = loop_seq_;
+    }
     if (until != Timestamp::Max() && clock_->Now() >= until) {
       break;
     }
-    if (AllQuiescent()) {
-      if (++quiet >= options_.quiet_polls_to_drain) {
-        break;
-      }
-    } else {
-      quiet = 0;
+    // Drained: quiescent on two checks with no firing started in between
+    // (a firing that completes between one receiver read and the next
+    // could otherwise hide its output from a single scan).
+    const uint64_t epoch = activity_.load();
+    if (AllQuiescent() && AllQuiescent() && activity_.load() == epoch) {
+      break;
     }
+    if (SteadyClock::now() < next_watchdog) {
+      continue;
+    }
+    next_watchdog = SteadyClock::now() + kWatchdogPeriod;
 
     // Watchdog: evaluate the wait graph over a lock-free copy. A cycle of
     // blocked actors never wakes itself, so an actual deadlock is a stable
     // candidate; transient backpressure churns epochs and resets it.
+    const uint64_t version = wait_graph_.Version();
+    if (live_verdict && version == live_version) {
+      continue;
+    }
     std::vector<WaitNode> snapshot = wait_graph_.Snapshot();
     const DeadlockReport report = EvaluateWaitGraph(snapshot);
+    live_verdict = report.empty();
+    live_version = version;
     if (report.empty()) {
       candidate.clear();
-      stable_polls = 0;
+      stable_checks = 0;
       continue;
     }
     std::set<const Actor*> dead(report.dead.begin(), report.dead.end());
@@ -671,12 +797,12 @@ Status PNCWFDirector::RunThreaded(Timestamp until) {
     }
     std::sort(signature.begin(), signature.end());
     if (signature == candidate) {
-      ++stable_polls;
+      ++stable_checks;
     } else {
       candidate = std::move(signature);
-      stable_polls = 1;
+      stable_checks = 1;
     }
-    if (stable_polls < 3) {
+    if (stable_checks < kStableChecks) {
       continue;
     }
     // Confirm against the receivers themselves (snapshot state can lag):
@@ -692,16 +818,14 @@ Status PNCWFDirector::RunThreaded(Timestamp until) {
     }
     if (!confirmed) {
       candidate.clear();
-      stable_polls = 0;
+      stable_checks = 0;
       continue;
     }
     deadlock_status = ConfirmDeadlock(report);
     break;  // stop_ below releases the blocked threads
   }
   stop_ = true;
-  for (auto& [actor, sync] : syncs_) {
-    sync->cv.notify_all();
-  }
+  WakeAll();
   for (std::thread& t : threads_) {
     if (t.joinable()) {
       t.join();

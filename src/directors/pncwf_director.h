@@ -10,6 +10,16 @@
 // Two execution modes:
 //  * kOsThreads — one std::thread per actor with blocking windowed
 //    receivers; requires a RealClock. This is the faithful deployment mode.
+//    No thread polls. A starved actor parks on its ActorSync condition
+//    variable until a deposit, a receiver timeout or flush, stop, or its
+//    earliest pending deadline (a receiver's or Actor::NextDeadline()),
+//    approached in steps of at most 10 ms. A producer blocked in Put()
+//    parks until the consumer takes a window, flushes, times out, or stop.
+//    A source parks on its PushChannel until a push, close, its next
+//    arrival or kWatchdogPeriod. The Run() loop wakes when a thread parks
+//    or exits once every source has finished, and otherwise only every
+//    kWatchdogPeriod to revalidate CWF6005 candidates and honour the
+//    horizon.
 //  * kSimulatedThreads — a deterministic virtual-time simulation of
 //    OS round-robin preemptive scheduling (time slice + context-switch and
 //    per-event synchronization overheads from the CostModel); requires a
@@ -20,6 +30,7 @@
 #define CONFLUENCE_DIRECTORS_PNCWF_DIRECTOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -42,15 +53,15 @@ enum class PNCWFMode {
 /// \brief PNCWF options.
 struct PNCWFOptions {
   PNCWFMode mode = PNCWFMode::kSimulatedThreads;
-  /// OS-thread mode: granularity of quiescence/stop polling.
-  Duration poll_interval = Millis(1);
-  /// OS-thread mode: consecutive quiet polls before declaring the workflow
-  /// drained (sources exhausted and no in-flight work).
-  int quiet_polls_to_drain = 3;
 };
 
 class PNCWFDirector : public Director {
  public:
+  /// OS-thread mode: the Run() loop's timed fallback (wait-graph watchdog
+  /// and horizon checks) and the longest a parked source sleeps, which
+  /// bounds how long stop takes to reach it.
+  static constexpr std::chrono::milliseconds kWatchdogPeriod{50};
+
   explicit PNCWFDirector(PNCWFOptions options = {});
   ~PNCWFDirector() override;
 
@@ -66,8 +77,13 @@ class PNCWFDirector : public Director {
   /// \brief Simulated context switches performed (simulation mode).
   uint64_t context_switches() const { return context_switches_; }
 
+  /// \brief OS-thread mode: waits that ended by timeout rather than a
+  /// notify, for `actor`'s thread, or for the Run() loop when `actor` is
+  /// nullptr. An actor thread with no pending deadline records none.
+  uint64_t timed_wakeups(const Actor* actor = nullptr) const;
+
   /// \brief The channel wait-for graph the artificial-deadlock watchdog
-  /// polls (core/wait_graph.h). Exposed for tests (report handler,
+  /// evaluates (core/wait_graph.h). Exposed for tests (report handler,
   /// blocked-count assertions).
   ChannelWaitGraph* wait_graph() { return &wait_graph_; }
 
@@ -90,6 +106,10 @@ class PNCWFDirector : public Director {
   struct ActorSync {
     OrderedRecursiveMutex mutex{"PNCWFDirector::ActorSync::mutex"};
     std::condition_variable_any cv;
+    /// Actor::NextDeadline() as of the thread's last firing, published so
+    /// the Run() loop can read it without racing the actor's own state.
+    std::atomic<Timestamp> own_deadline{Timestamp::Max()};
+    std::atomic<uint64_t> timed_wakeups{0};
   };
 
   Status RunSimulated(Timestamp until);
@@ -98,11 +118,24 @@ class PNCWFDirector : public Director {
   void ActorThreadBody(Actor* actor);
   void SourceThreadBody(Actor* actor);
 
+  /// FireOnce bracketed by the busy_/activity_ bookkeeping the drain check
+  /// reads, publishing the actor's next deadline.
+  Result<FiringOutcome> FireTracked(Actor* actor, ActorSync* sync);
+
   /// Whether any plan-bounded queue downstream of `actor` is full — the
   /// simulated-mode stand-in for a producer thread blocked in Put().
   bool DownstreamAtCapacity(const Actor* actor) const;
 
   bool AllQuiescent() const;
+
+  /// A thread parked or exited: wake the Run() loop when the workflow may
+  /// have drained (every source thread has finished).
+  void NotifyParked();
+
+  /// Release every parked thread after stop_ is set. Locks each domain
+  /// before notifying, so a thread between its stop check and its wait
+  /// cannot miss the wakeup.
+  void WakeAll();
 
   /// Wait-graph get edges of an input-starved actor: one alternative list
   /// per connected, windowless input port (skipping ports a registered
@@ -127,11 +160,21 @@ class PNCWFDirector : public Director {
   PNCWFOptions options_;
   std::map<const Actor*, std::unique_ptr<ActorSync>> syncs_;
   /// Blocked put/get edges between this workflow's actors; fed by the
-  /// blocking receivers and thread bodies, polled by the drain loop.
+  /// blocking receivers and thread bodies, evaluated by the Run() loop.
   ChannelWaitGraph wait_graph_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   std::atomic<int> busy_{0};
+  /// Firings started; an unchanged value across two quiescence checks
+  /// confirms the drain.
+  std::atomic<uint64_t> activity_{0};
+  /// Source threads still running; parks only wake the Run() loop at 0.
+  std::atomic<int> sources_running_{0};
+  /// The Run() loop's wakeup: bumped by NotifyParked.
+  OrderedMutex loop_mutex_{"PNCWFDirector::loop_mutex"};
+  std::condition_variable_any loop_cv_;
+  uint64_t loop_seq_ CWF_GUARDED_BY(loop_mutex_) = 0;
+  std::atomic<uint64_t> loop_timed_wakeups_{0};
   uint64_t context_switches_ = 0;
 };
 

@@ -149,9 +149,7 @@ Status SCWFDirector::Run(Timestamp until) {
         if (next != nullptr &&
             (obs::MetricsEnabled() || obs::TracingEnabled())) {
           obs::SchedulerDecision decision;
-          decision.policy = scheduler_->name();
           decision.chosen = next;
-          decision.actor_queued_windows = scheduler_->QueuedWindows(next);
           decision.total_queued_events = scheduler_->TotalQueuedEvents();
           decision.now = clock_->Now();
           telemetry_.RecordDecision(decision);

@@ -194,9 +194,6 @@ void WorkflowTelemetry::RecordArrival(const Actor* actor, size_t n,
 }
 
 void WorkflowTelemetry::RecordDecision(const SchedulerDecision& decision) {
-  for (ExecutionObserver* o : observers_) {
-    o->OnSchedulerDecision(decision);
-  }
 #ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(decision.chosen);
   if (ai == nullptr) {
@@ -210,6 +207,8 @@ void WorkflowTelemetry::RecordDecision(const SchedulerDecision& decision) {
   if (TracingEnabled()) {
     GlobalTracer().Instant(ai->tid, decision.now);
   }
+#else
+  (void)decision;
 #endif
 }
 

@@ -78,13 +78,11 @@ struct FiringRecord {
   const WaveTag* wave = nullptr;
 };
 
-/// \brief One scheduler pick (SCWF): which actor, under which policy, and
-/// the ready-queue state it was picked out of.
+/// \brief One scheduler pick (SCWF): which actor, and the ready-queue
+/// state it was picked out of.
 struct SchedulerDecision {
-  const char* policy = "";
   const Actor* chosen = nullptr;
-  size_t actor_queued_windows = 0;  ///< windows still queued for `chosen`
-  size_t total_queued_events = 0;   ///< events queued engine-wide
+  size_t total_queued_events = 0;  ///< events queued engine-wide
   Timestamp now;
 };
 
@@ -101,9 +99,6 @@ class ExecutionObserver {
     (void)actor;
     (void)n;
     (void)now;
-  }
-  virtual void OnSchedulerDecision(const SchedulerDecision& decision) {
-    (void)decision;
   }
 };
 

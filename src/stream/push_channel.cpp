@@ -220,4 +220,17 @@ void PushChannel::WaitForData() const CWF_NO_THREAD_SAFETY_ANALYSIS {
   }
 }
 
+// ts-allowlist: condition-variable wait (see WaitForData() above).
+bool PushChannel::WaitForData(std::chrono::microseconds timeout) const
+    CWF_NO_THREAD_SAFETY_ANALYSIS {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  std::unique_lock<OrderedMutex> lock(mutex_);
+  while (queue_.empty() && !closed_) {
+    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+      break;
+    }
+  }
+  return !queue_.empty() || closed_;
+}
+
 }  // namespace cwf

@@ -10,6 +10,7 @@
 #ifndef CONFLUENCE_STREAM_PUSH_CHANNEL_H_
 #define CONFLUENCE_STREAM_PUSH_CHANNEL_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -117,6 +118,11 @@ class PushChannel {
   /// \brief Block (real-time mode) until a tuple is queued or the channel is
   /// closed; returns immediately if either already holds.
   void WaitForData() const CWF_EXCLUDES(mutex_);
+
+  /// \brief WaitForData() that gives up after `timeout` of wall time.
+  /// Returns whether a tuple is queued or the channel is closed.
+  bool WaitForData(std::chrono::microseconds timeout) const
+      CWF_EXCLUDES(mutex_);
 
  private:
   /// \brief CHECK-fails (debug builds) when `token` violates the declared

@@ -3,6 +3,7 @@
 #ifndef CONFLUENCE_STREAM_STREAM_SOURCE_H_
 #define CONFLUENCE_STREAM_STREAM_SOURCE_H_
 
+#include <chrono>
 #include <memory>
 #include <string>
 
@@ -24,6 +25,11 @@ class TimedSource {
   /// \brief Whether the external stream can still deliver data (not closed
   /// or tuples still queued).
   virtual bool Exhausted() const = 0;
+
+  /// \brief Real-time mode: block until new external data may be ready (a
+  /// push or close) or `timeout` of wall time elapses. Returns false on
+  /// timeout.
+  virtual bool WaitForData(std::chrono::microseconds timeout) const = 0;
 };
 
 /// \brief An actor that injects tuples from a PushChannel.
@@ -57,6 +63,10 @@ class StreamSourceActor : public Actor, public TimedSource {
 
   bool Exhausted() const override {
     return channel_->closed() && channel_->Pending() == 0;
+  }
+
+  bool WaitForData(std::chrono::microseconds timeout) const override {
+    return channel_->WaitForData(timeout);
   }
 
   /// \brief Tuples injected so far.

@@ -80,6 +80,24 @@ TEST(PushChannelTest, WaitForDataWakesOnClose) {
   closer.join();
 }
 
+TEST(PushChannelTest, TimedWaitForDataReportsTimeoutPushAndClose) {
+  PushChannel ch;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(ch.WaitForData(std::chrono::milliseconds(20)));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
+  std::thread producer([&ch] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ch.Push(Token(1), Timestamp(0));
+  });
+  EXPECT_TRUE(ch.WaitForData(std::chrono::seconds(10)));
+  EXPECT_EQ(ch.Pending(), 1u);
+  producer.join();
+  ch.PopArrived(Timestamp::Max());
+  ch.Close();
+  EXPECT_TRUE(ch.WaitForData(std::chrono::seconds(10)));
+}
+
 TEST(PushChannelTest, OfferRespectsCapacity) {
   PushChannel ch;
   ch.SetCapacity(2);
