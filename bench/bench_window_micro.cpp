@@ -3,6 +3,10 @@
 // the performance-critical component).
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <memory>
+#include <vector>
 
 #include "core/schema.h"
 #include "stream/push_channel.h"
@@ -87,6 +91,91 @@ void BM_GroupByWindowPut(benchmark::State& state) {
   state.SetLabel(std::to_string(keys) + " groups");
 }
 BENCHMARK(BM_GroupByWindowPut)->Arg(10)->Arg(1000)->Arg(100000);
+
+// A position-report-shaped record (8 fields; the group-by fields car, xway,
+// dir, seg sit at positions 1, 3, 5, 6 as in Linear Road).
+CWEvent ReportEvent(int64_t car, int64_t ts_us, uint64_t seq) {
+  auto rec = std::make_shared<Record>();
+  rec->Set("time", Value(ts_us / 1000000))
+      .Set("car", Value(car))
+      .Set("speed", Value(55.0))
+      .Set("xway", Value(car % 4))
+      .Set("lane", Value(int64_t{1}))
+      .Set("dir", Value(car % 2))
+      .Set("seg", Value(car % 100))
+      .Set("pos", Value(car * 7));
+  CWEvent e;
+  e.token = Token(RecordPtr(std::move(rec)));
+  e.timestamp = Timestamp(ts_us);
+  e.wave = WaveTag::Root(seq);
+  e.last_in_wave = true;
+  e.seq = seq;
+  return e;
+}
+
+WindowSpec LrbShapedSpec() {
+  return WindowSpec::Time(Seconds(60), Seconds(60))
+      .GroupBy({"car", "xway", "dir", "seg"})
+      .DeleteUsedEvents(true);
+}
+
+// Heap bytes a fresh operator holds per group after 100k deposits that
+// each open a new group (mallinfo2 delta; the events' own records are
+// allocated before the first reading, so only the operator's share counts:
+// group state, key token, index slot, deadline entry and the buffered
+// event).
+double BytesPerGroup() {
+  constexpr int64_t kGroups = 100000;
+  std::vector<CWEvent> events;
+  events.reserve(kGroups);
+  for (int64_t car = 0; car < kGroups; ++car) {
+    events.push_back(ReportEvent(car, 1000, static_cast<uint64_t>(car) + 1));
+  }
+  std::vector<Window> out;
+  const size_t before = mallinfo2().uordblks;
+  auto op = std::make_unique<WindowOperator>(LrbShapedSpec());
+  for (const CWEvent& e : events) {
+    CWF_CHECK(op->Put(e, &out).ok());
+  }
+  const size_t after = mallinfo2().uordblks;
+  CWF_CHECK(op->GroupCount() == static_cast<size_t>(kGroups));
+  return static_cast<double>(after - before) / kGroups;
+}
+
+void BM_LrbShapedGroupByPut(benchmark::State& state) {
+  // Avgsv's deposit: a 60 s tumbling window keyed by four int fields. Put
+  // 2j opens group j; put 2j+1 revisits group j-64, so half the puts open
+  // a group and the other half find one that is not the last touched. The
+  // operator restarts every kBatch puts (untimed) to hold that ratio.
+  constexpr size_t kBatch = 32768;
+  static const double bytes_per_group = BytesPerGroup();
+  std::vector<CWEvent> events;
+  events.reserve(kBatch);
+  for (size_t i = 0; i < kBatch; ++i) {
+    const int64_t j = static_cast<int64_t>(i / 2);
+    const int64_t car = i % 2 == 0 ? j : std::max<int64_t>(j - 64, 0);
+    events.push_back(
+        ReportEvent(car, static_cast<int64_t>(i) * 1000, i + 1));
+  }
+  auto op = std::make_unique<WindowOperator>(LrbShapedSpec());
+  std::vector<Window> out;
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next == kBatch) {
+      state.PauseTiming();
+      op = std::make_unique<WindowOperator>(LrbShapedSpec());
+      next = 0;
+      state.ResumeTiming();
+    }
+    out.clear();
+    CWF_CHECK(op->Put(events[next], &out).ok());
+    ++next;
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["bytes_per_group"] = bytes_per_group;
+}
+BENCHMARK(BM_LrbShapedGroupByPut);
 
 void BM_TimeWindowDeadlineIndex(benchmark::State& state) {
   // NextDeadline() must stay O(1) regardless of group count.

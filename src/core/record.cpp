@@ -131,6 +131,18 @@ const std::string& Record::NameAt(size_t index) const {
   return fields_[index].first;
 }
 
+int Record::IndexOf(std::string_view name, size_t hint) const {
+  if (hint < fields_.size() && fields_[hint].first == name) {
+    return static_cast<int>(hint);
+  }
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    if (fields_[i].first == name) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
 Value Record::GetOr(const std::string& name, Value fallback) const {
   for (const auto& [n, v] : fields_) {
     if (n == name) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -85,6 +86,15 @@ class Record {
   /// \brief Field name at `index`; CHECK-fails when out of range.
   const std::string& NameAt(size_t index) const;
 
+  /// \brief Position of field `name`, or -1 when absent. Checks `hint`
+  /// with one name comparison before falling back to the linear scan, so a
+  /// caller that knows where the field usually sits pays O(1) and stays
+  /// correct when a record of another layout arrives.
+  int IndexOf(std::string_view name, size_t hint) const;
+
+  /// \brief Reserve room for `n` fields ahead of a run of Set() calls.
+  void Reserve(size_t n) { fields_.reserve(n); }
+
   /// \brief Field count.
   size_t size() const { return fields_.size(); }
 
@@ -102,6 +112,35 @@ class Record {
 };
 
 using RecordPtr = std::shared_ptr<const Record>;
+
+/// \brief A field name plus the position it was last found at.
+///
+/// Find() confirms the cached position with `NameAt(pos) == name` and only
+/// on a mismatch falls back to the name scan, refreshing the cache. Records
+/// of one layout therefore pay one string comparison per lookup, and records
+/// carrying the same fields in another order stay correct. The cache is
+/// mutable state: keep one per operator or actor, never share one across
+/// threads.
+class FieldPosition {
+ public:
+  explicit FieldPosition(std::string name) : name_(std::move(name)) {}
+
+  const std::string& name() const { return name_; }
+
+  /// \brief The field's value in `rec`, or nullptr when it is absent.
+  const Value* Find(const Record& rec) {
+    const int index = rec.IndexOf(name_, pos_);
+    if (index < 0) {
+      return nullptr;
+    }
+    pos_ = static_cast<size_t>(index);
+    return &rec.fields()[pos_].second;
+  }
+
+ private:
+  std::string name_;
+  size_t pos_ = 0;
+};
 
 /// \brief Build a shared record from (name, value) pairs.
 template <typename... Pairs>

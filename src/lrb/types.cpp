@@ -2,10 +2,13 @@
 
 #include <sstream>
 
+#include "core/wait_graph.h"
+
 namespace cwf::lrb {
 
 Token PositionReport::ToToken() const {
   auto rec = std::make_shared<Record>();
+  rec->Reserve(8);
   rec->Set(kFieldTime, Value(time));
   rec->Set(kFieldCar, Value(car));
   rec->Set(kFieldSpeed, Value(speed));
@@ -17,16 +20,33 @@ Token PositionReport::ToToken() const {
   return Token(RecordPtr(std::move(rec)));
 }
 
+namespace {
+
+// `name`'s value in a position report. `hint` is the field's position in
+// the ToToken() layout: checked first, with a name scan only for records
+// built in another field order. Stateless, so actors on concurrent threads
+// may decode at once.
+const Value& ReportField(const Record& rec, const char* name, size_t hint) {
+  const int index = rec.IndexOf(name, hint);
+  CWF_CHECK_MSG(index >= 0, "record " << rec.ToString() << " lacks field "
+                                      << name << CurrentActorContext());
+  return rec.ValueAt(static_cast<size_t>(index));
+}
+
+}  // namespace
+
 PositionReport PositionReport::FromToken(const Token& token) {
+  const RecordPtr& rec = token.AsRecord();
+  CWF_CHECK(rec != nullptr);
   PositionReport r;
-  r.time = token.Field(kFieldTime).AsInt();
-  r.car = token.Field(kFieldCar).AsInt();
-  r.speed = token.Field(kFieldSpeed).AsDouble();
-  r.xway = token.Field(kFieldXway).AsInt();
-  r.lane = token.Field(kFieldLane).AsInt();
-  r.dir = token.Field(kFieldDir).AsInt();
-  r.seg = token.Field(kFieldSeg).AsInt();
-  r.pos = token.Field(kFieldPos).AsInt();
+  r.time = ReportField(*rec, kFieldTime, 0).AsInt();
+  r.car = ReportField(*rec, kFieldCar, 1).AsInt();
+  r.speed = ReportField(*rec, kFieldSpeed, 2).AsDouble();
+  r.xway = ReportField(*rec, kFieldXway, 3).AsInt();
+  r.lane = ReportField(*rec, kFieldLane, 4).AsInt();
+  r.dir = ReportField(*rec, kFieldDir, 5).AsInt();
+  r.seg = ReportField(*rec, kFieldSeg, 6).AsInt();
+  r.pos = ReportField(*rec, kFieldPos, 7).AsInt();
   return r;
 }
 

@@ -1,19 +1,42 @@
 #include "window/window_operator.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace cwf {
+
+namespace {
+
+// splitmix64 finalizer: Value::Hash is the identity on ints, and linear
+// probing over small dense ids needs every input bit spread.
+uint64_t Mix64(uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  h ^= h >> 31;
+  return h;
+}
+
+}  // namespace
 
 WindowOperator::WindowOperator(WindowSpec spec) : spec_(std::move(spec)) {
   Status st = spec_.Validate();
   CWF_CHECK_MSG(st.ok(), "invalid WindowSpec: " << st.ToString());
+  trivial_ = spec_.IsTrivial();
+  key_fields_.reserve(spec_.group_by.size());
+  for (const std::string& field : spec_.group_by) {
+    key_fields_.emplace_back(field);
+  }
+  key_scratch_.resize(key_fields_.size());
 }
 
-Status WindowOperator::ExtractKey(const CWEvent& event, GroupKey* key,
-                                  Token* key_token) const {
-  key->clear();
-  if (spec_.group_by.empty()) {
-    *key_token = Token();
+Status WindowOperator::FindGroup(const CWEvent& event, uint32_t* id) {
+  if (key_fields_.empty()) {
+    if (groups_.empty()) {
+      groups_.emplace_back();
+    }
+    *id = 0;
     return Status::OK();
   }
   if (!event.token.is_record()) {
@@ -22,33 +45,100 @@ Status WindowOperator::ExtractKey(const CWEvent& event, GroupKey* key,
         event.token.ToString());
   }
   const RecordPtr& rec = event.token.AsRecord();
-  auto key_rec = std::make_shared<Record>();
-  for (const std::string& field : spec_.group_by) {
-    auto value = rec->Get(field);
-    if (!value.ok()) {
-      return Status::InvalidArgument("group-by field '" + field +
+  uint64_t hash = 0;
+  for (size_t i = 0; i < key_fields_.size(); ++i) {
+    const Value* value = key_fields_[i].Find(*rec);
+    if (value == nullptr) {
+      return Status::InvalidArgument("group-by field '" +
+                                     key_fields_[i].name() +
                                      "' missing from " + rec->ToString());
     }
-    key->push_back(value.value());
-    key_rec->Set(field, std::move(value).value());
+    key_scratch_[i] = value;
+    hash = Mix64(hash ^ value->Hash());
   }
-  *key_token = Token(RecordPtr(std::move(key_rec)));
-  return Status::OK();
+  if (index_.empty()) {
+    index_.resize(16);
+  }
+  const uint32_t slot_hash = static_cast<uint32_t>(hash);
+  const size_t mask = index_.size() - 1;
+  for (size_t pos = slot_hash & mask;; pos = (pos + 1) & mask) {
+    Slot& slot = index_[pos];
+    if (slot.group == kNoGroup) {
+      slot.hash = slot_hash;
+      slot.group = *id = AddGroup();
+      if (groups_.size() * 2 > index_.size()) {
+        GrowIndex();
+      }
+      return Status::OK();
+    }
+    if (slot.hash == slot_hash && KeyMatches(slot.group)) {
+      *id = slot.group;
+      return Status::OK();
+    }
+  }
 }
 
-Window WindowOperator::MakeWindow(const GroupState& g, size_t count) const {
-  Window w;
-  w.group_key = g.group_key_token;
-  w.events.assign(g.queue.begin(), g.queue.begin() + count);
-  return w;
+bool WindowOperator::KeyMatches(uint32_t id) const {
+  const Value* key = &key_values_[id * key_scratch_.size()];
+  for (size_t i = 0; i < key_scratch_.size(); ++i) {
+    if (!(*key_scratch_[i] == key[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+uint32_t WindowOperator::AddGroup() {
+  CWF_CHECK_MSG(groups_.size() < kNoGroup, "window group ids exhausted");
+  for (const Value* value : key_scratch_) {
+    key_values_.push_back(*value);
+  }
+  const auto id = static_cast<uint32_t>(groups_.size());
+  groups_.emplace_back().id = id;
+  return id;
+}
+
+const Token& WindowOperator::KeyToken(GroupState* g) {
+  if (g->group_key_token.is_nil() && !key_fields_.empty()) {
+    auto key_rec = std::make_shared<Record>();
+    key_rec->Reserve(key_fields_.size());
+    const Value* key = &key_values_[g->id * key_fields_.size()];
+    for (size_t i = 0; i < key_fields_.size(); ++i) {
+      key_rec->Set(key_fields_[i].name(), key[i]);
+    }
+    g->group_key_token = Token(RecordPtr(std::move(key_rec)));
+  }
+  return g->group_key_token;
+}
+
+void WindowOperator::GrowIndex() {
+  std::vector<Slot> grown(index_.size() * 2);
+  const size_t mask = grown.size() - 1;
+  for (const Slot& slot : index_) {
+    if (slot.group == kNoGroup) {
+      continue;
+    }
+    size_t pos = slot.hash & mask;
+    while (grown[pos].group != kNoGroup) {
+      pos = (pos + 1) & mask;
+    }
+    grown[pos] = slot;
+  }
+  index_.swap(grown);
 }
 
 Status WindowOperator::Put(const CWEvent& event, std::vector<Window>* out) {
-  GroupKey key;
-  Token key_token;
-  CWF_RETURN_NOT_OK(ExtractKey(event, &key, &key_token));
-  GroupState& g = groups_[key];
-  g.group_key_token = key_token;
+  if (trivial_) {
+    // SingleEvent: the event is its own window and is consumed by it.
+    Window w;
+    w.events.push_back(event);
+    out->push_back(std::move(w));
+    ++windows_produced_;
+    return Status::OK();
+  }
+  uint32_t id = 0;
+  CWF_RETURN_NOT_OK(FindGroup(event, &id));
+  GroupState& g = groups_[id];
 
   switch (spec_.unit) {
     case WindowUnit::kTuples:
@@ -56,13 +146,55 @@ Status WindowOperator::Put(const CWEvent& event, std::vector<Window>* out) {
       break;
     case WindowUnit::kTime:
       PutTime(&g, event, out);
-      UpdateDeadline(key, &g);
+      UpdateDeadline(id, &g);
       break;
     case WindowUnit::kWaves:
       PutWave(&g, event, out);
       break;
   }
   return Status::OK();
+}
+
+void WindowOperator::EventQueue::PopInto(size_t n, std::vector<CWEvent>* dst) {
+  const auto first = events_.begin() + static_cast<std::ptrdiff_t>(head_);
+  std::move(first, first + static_cast<std::ptrdiff_t>(n),
+            std::back_inserter(*dst));
+  head_ += n;
+  if (head_ == events_.size()) {
+    events_.clear();
+    head_ = 0;
+  } else if (head_ >= events_.size() - head_) {
+    events_.erase(events_.begin(),
+                  events_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+std::vector<CWEvent> WindowOperator::EventQueue::Take() {
+  events_.erase(events_.begin(),
+                events_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
+  std::vector<CWEvent> taken = std::move(events_);
+  events_.clear();
+  return taken;
+}
+
+Window WindowOperator::TakeQueue(GroupState* g) {
+  Window w;
+  w.group_key = KeyToken(g);
+  pending_ -= g->queue.size();
+  g->last_window_size = g->queue.size();
+  w.events = g->queue.Take();
+  ++windows_produced_;
+  return w;
+}
+
+Window WindowOperator::CopyQueue(GroupState* g) {
+  Window w;
+  w.group_key = KeyToken(g);
+  w.events.assign(g->queue.begin(), g->queue.end());
+  ++windows_produced_;
+  return w;
 }
 
 void WindowOperator::PutTuple(GroupState* g, const CWEvent& event,
@@ -74,30 +206,27 @@ void WindowOperator::PutTuple(GroupState* g, const CWEvent& event,
     expired_.push_back(event);
     return;
   }
-  g->queue.push_back(event);
+  g->queue.Push(event, g->last_window_size);
   ++pending_;
   const size_t size = static_cast<size_t>(spec_.size);
   const size_t step = static_cast<size_t>(spec_.step);
-  while (g->queue.size() >= size) {
-    out->push_back(MakeWindow(*g, size));
-    ++windows_produced_;
-    if (spec_.delete_used_events) {
-      // Consumption semantics: the produced window uses up its events.
-      g->queue.erase(g->queue.begin(), g->queue.begin() + size);
-      pending_ -= size;
-    } else {
-      // Slide by `step`; whatever falls before the new window start has left
-      // every future window and expires. If the step reaches past the queue
-      // (step > size), remember how many upcoming events to skip.
-      const size_t drop = std::min(step, g->queue.size());
-      g->skip_next = step - drop;
-      for (size_t i = 0; i < drop; ++i) {
-        expired_.push_back(std::move(g->queue.front()));
-        g->queue.pop_front();
-      }
-      pending_ -= drop;
-    }
+  if (g->queue.size() < size) {
+    return;
   }
+  // One event was added, so the queue holds exactly one window.
+  if (spec_.delete_used_events) {
+    // Consumption semantics: the produced window uses up its events.
+    out->push_back(TakeQueue(g));
+    return;
+  }
+  // Slide by `step`; whatever falls before the new window start has left
+  // every future window and expires. If the step reaches past the queue
+  // (step > size), remember how many upcoming events to skip.
+  out->push_back(CopyQueue(g));
+  const size_t drop = std::min(step, size);
+  g->skip_next = step - drop;
+  g->queue.PopInto(drop, &expired_);
+  pending_ -= drop;
 }
 
 void WindowOperator::PutTime(GroupState* g, const CWEvent& event,
@@ -118,7 +247,7 @@ void WindowOperator::PutTime(GroupState* g, const CWEvent& event,
       return;
     }
     if (event.timestamp < g->window_start + size) {
-      g->queue.push_back(event);
+      g->queue.Push(event, g->last_window_size);
       ++pending_;
       return;
     }
@@ -137,25 +266,25 @@ void WindowOperator::PutTime(GroupState* g, const CWEvent& event,
 }
 
 void WindowOperator::CloseTimeWindow(GroupState* g, std::vector<Window>* out) {
-  if (!g->queue.empty()) {
-    out->push_back(MakeWindow(*g, g->queue.size()));
-    ++windows_produced_;
-  }
   g->window_start += spec_.step;
-  if (spec_.delete_used_events) {
-    pending_ -= g->queue.size();
-    g->queue.clear();
-  } else {
-    while (!g->queue.empty() &&
-           g->queue.front().timestamp < g->window_start) {
-      expired_.push_back(std::move(g->queue.front()));
-      g->queue.pop_front();
-      --pending_;
-    }
+  if (g->queue.empty()) {
+    return;
   }
+  if (spec_.delete_used_events) {
+    out->push_back(TakeQueue(g));
+    return;
+  }
+  out->push_back(CopyQueue(g));
+  size_t expired = 0;
+  for (auto it = g->queue.begin();
+       it != g->queue.end() && it->timestamp < g->window_start; ++it) {
+    ++expired;
+  }
+  g->queue.PopInto(expired, &expired_);
+  pending_ -= expired;
 }
 
-void WindowOperator::UpdateDeadline(const GroupKey& key, GroupState* g) {
+void WindowOperator::UpdateDeadline(uint32_t id, GroupState* g) {
   Timestamp deadline = Timestamp::Max();
   if (spec_.unit == WindowUnit::kTime && spec_.formation_timeout >= 0 &&
       g->start_set && !g->queue.empty()) {
@@ -165,22 +294,20 @@ void WindowOperator::UpdateDeadline(const GroupKey& key, GroupState* g) {
     return;
   }
   if (g->registered_deadline != Timestamp::Max()) {
-    auto range = deadline_index_.equal_range(g->registered_deadline);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == key) {
-        deadline_index_.erase(it);
-        break;
-      }
-    }
+    deadline_index_.erase(g->deadline_entry);
   }
   if (deadline != Timestamp::Max()) {
-    deadline_index_.emplace(deadline, key);
+    g->deadline_entry = deadline_index_.emplace(deadline, id);
   }
   g->registered_deadline = deadline;
 }
 
 void WindowOperator::PutWave(GroupState* g, const CWEvent& event,
                              std::vector<Window>* out) {
+  if (g->waves == nullptr) {
+    g->waves = std::make_unique<WaveState>();
+  }
+  WaveState& ws = *g->waves;
   // The wave an event synchronizes under is its parent tag (events t.3.1 …
   // t.3.m synchronize as sub-wave t.3); a root external event is a complete
   // singleton wave by itself.
@@ -191,57 +318,56 @@ void WindowOperator::PutWave(GroupState* g, const CWEvent& event,
   // synchronized, and its resurrected buffer would strand forever. Pending
   // (buffered or completed-but-unwindowed) waves legitimately interleave.
   CWF_DCHECK_MSG(
-      !g->has_consumed_frontier || g->consumed_wave_frontier < wave_id ||
-          g->wave_buffers.count(wave_id) > 0 ||
-          std::find(g->completed_waves.begin(), g->completed_waves.end(),
-                    wave_id) != g->completed_waves.end(),
+      !ws.has_consumed_frontier || ws.consumed_frontier < wave_id ||
+          ws.buffers.count(wave_id) > 0 ||
+          std::find(ws.completed.begin(), ws.completed.end(), wave_id) !=
+              ws.completed.end(),
       "wave-tag monotonicity violated: event "
           << event.wave.ToString() << " regresses behind consumed wave "
-          << g->consumed_wave_frontier.ToString());
-  auto& buffer = g->wave_buffers[wave_id];
+          << ws.consumed_frontier.ToString());
+  auto& buffer = ws.buffers[wave_id];
   buffer.push_back(event);
   ++pending_;
   if (event.last_in_wave) {
-    g->wave_last_serial[wave_id] =
+    ws.last_serial[wave_id] =
         event.wave.depth() == 0 ? 1 : event.wave.path().back();
   }
-  auto last_it = g->wave_last_serial.find(wave_id);
-  if (last_it != g->wave_last_serial.end() &&
-      buffer.size() >= last_it->second) {
-    g->completed_waves.push_back(wave_id);
-    g->wave_last_serial.erase(last_it);
+  auto last_it = ws.last_serial.find(wave_id);
+  if (last_it != ws.last_serial.end() && buffer.size() >= last_it->second) {
+    ws.completed.push_back(wave_id);
+    ws.last_serial.erase(last_it);
   }
 
   const size_t size = static_cast<size_t>(spec_.size);
   const size_t step = static_cast<size_t>(spec_.step);
-  while (g->completed_waves.size() >= size) {
+  while (ws.completed.size() >= size) {
     Window w;
-    w.group_key = g->group_key_token;
+    w.group_key = KeyToken(g);
     for (size_t i = 0; i < size; ++i) {
-      const auto& events = g->wave_buffers[g->completed_waves[i]];
+      const auto& events = ws.buffers[ws.completed[i]];
       w.events.insert(w.events.end(), events.begin(), events.end());
     }
     out->push_back(std::move(w));
     ++windows_produced_;
-    const size_t drop =
-        spec_.delete_used_events ? size
-                                 : std::min(step, g->completed_waves.size());
+    const size_t drop = spec_.delete_used_events
+                            ? size
+                            : std::min(step, ws.completed.size());
     for (size_t i = 0; i < drop; ++i) {
-      const WaveTag& dropped = g->completed_waves.front();
-      if (!g->has_consumed_frontier || g->consumed_wave_frontier < dropped) {
-        g->consumed_wave_frontier = dropped;
-        g->has_consumed_frontier = true;
+      const WaveTag& dropped = ws.completed.front();
+      if (!ws.has_consumed_frontier || ws.consumed_frontier < dropped) {
+        ws.consumed_frontier = dropped;
+        ws.has_consumed_frontier = true;
       }
-      auto buffer_it = g->wave_buffers.find(dropped);
-      if (buffer_it != g->wave_buffers.end()) {
+      auto buffer_it = ws.buffers.find(dropped);
+      if (buffer_it != ws.buffers.end()) {
         pending_ -= buffer_it->second.size();
         if (!spec_.delete_used_events) {
-          expired_.insert(expired_.end(), buffer_it->second.begin(),
-                          buffer_it->second.end());
+          std::move(buffer_it->second.begin(), buffer_it->second.end(),
+                    std::back_inserter(expired_));
         }
-        g->wave_buffers.erase(buffer_it);
+        ws.buffers.erase(buffer_it);
       }
-      g->completed_waves.pop_front();
+      ws.completed.pop_front();
     }
   }
 }
@@ -256,8 +382,13 @@ void WindowOperator::OnTimeout(Timestamp now, std::vector<Window>* out) {
     return;
   }
   while (!deadline_index_.empty() && deadline_index_.begin()->first <= now) {
-    const GroupKey key = deadline_index_.begin()->second;
-    GroupState& g = groups_[key];
+    const uint32_t id = deadline_index_.begin()->second;
+    CWF_DCHECK_MSG(id < groups_.size() &&
+                       groups_[id].registered_deadline ==
+                           deadline_index_.begin()->first,
+                   "deadline entry for group " << id
+                                               << " has no registered group");
+    GroupState& g = groups_[id];
     while (g.start_set && !g.queue.empty() &&
            g.window_start + spec_.size + spec_.formation_timeout <= now) {
       const size_t before = out->size();
@@ -266,39 +397,55 @@ void WindowOperator::OnTimeout(Timestamp now, std::vector<Window>* out) {
         (*out)[i].closed_by_timeout = true;
       }
     }
-    UpdateDeadline(key, &g);
+    UpdateDeadline(id, &g);
   }
 }
 
 void WindowOperator::Flush(std::vector<Window>* out) {
-  for (auto& [key, g] : groups_) {
+  // Ascending key order, so end-of-stream output does not depend on hash
+  // layout or arrival order.
+  std::vector<uint32_t> order(groups_.size());
+  for (uint32_t id = 0; id < order.size(); ++id) {
+    order[id] = id;
+  }
+  if (!key_fields_.empty()) {
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const size_t n = key_fields_.size();
+      return std::lexicographical_compare(
+          key_values_.begin() + a * n, key_values_.begin() + (a + 1) * n,
+          key_values_.begin() + b * n, key_values_.begin() + (b + 1) * n);
+    });
+  }
+  for (uint32_t id : order) {
+    GroupState& g = groups_[id];
     if (spec_.unit == WindowUnit::kWaves) {
+      if (g.waves == nullptr) {
+        continue;
+      }
+      WaveState& ws = *g.waves;
       // Emit any complete-but-unwindowed waves as one final bundle.
       Window w;
-      w.group_key = g.group_key_token;
-      for (const WaveTag& tag : g.completed_waves) {
-        auto& events = g.wave_buffers[tag];
-        w.events.insert(w.events.end(), events.begin(), events.end());
+      for (const WaveTag& tag : ws.completed) {
+        auto& events = ws.buffers[tag];
+        std::move(events.begin(), events.end(), std::back_inserter(w.events));
       }
       if (!w.events.empty()) {
+        w.group_key = KeyToken(&g);
         out->push_back(std::move(w));
         ++windows_produced_;
       }
-      for (const auto& [tag, events] : g.wave_buffers) {
+      for (const auto& [tag, events] : ws.buffers) {
         pending_ -= events.size();
       }
-      g.completed_waves.clear();
-      g.wave_buffers.clear();
-      g.wave_last_serial.clear();
+      ws.completed.clear();
+      ws.buffers.clear();
+      ws.last_serial.clear();
       continue;
     }
     if (!g.queue.empty()) {
-      out->push_back(MakeWindow(g, g.queue.size()));
-      ++windows_produced_;
-      pending_ -= g.queue.size();
-      g.queue.clear();
+      out->push_back(TakeQueue(&g));
     }
-    UpdateDeadline(key, &g);
+    UpdateDeadline(id, &g);
   }
   CWF_DCHECK_MSG(pending_ == CountPendingByWalk(),
                  "pending-event counter " << pending_ << " != walk "
@@ -333,10 +480,12 @@ bool WindowOperator::PendingCheckDue() const {
 
 size_t WindowOperator::CountPendingByWalk() const {
   size_t count = 0;
-  for (const auto& [key, g] : groups_) {
+  for (const GroupState& g : groups_) {
     count += g.queue.size();
-    for (const auto& [tag, events] : g.wave_buffers) {
-      count += events.size();
+    if (g.waves != nullptr) {
+      for (const auto& [tag, events] : g.waves->buffers) {
+        count += events.size();
+      }
     }
   }
   return count;

@@ -16,6 +16,7 @@
 #ifndef CONFLUENCE_WINDOW_WINDOW_OPERATOR_H_
 #define CONFLUENCE_WINDOW_WINDOW_OPERATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -27,15 +28,43 @@
 
 namespace cwf {
 
-/// \brief Group-by key: the tuple of Values extracted from a record.
-using GroupKey = std::vector<Value>;
-
 /// \brief Stateful window formation over a (possibly partitioned) queue.
+///
+/// Deposit path ("evaluate the group-by clause, then insert"):
+///  - Group-by fields are read through FieldPosition: each field keeps the
+///    record position it was last found at, confirmed by one name
+///    comparison, so a channel whose records share one layout never scans
+///    by name, and records with the same fields in another order still
+///    find them.
+///  - Groups live in a deque by dense id (stable addresses, no copying as
+///    it grows), found through an open-addressing index of 8-byte
+///    (hash, id) slots; the hash mixes the key values' hashes. The key is
+///    hashed through pointers into the event's record, so a deposit into
+///    an existing group copies no value and allocates nothing for the key.
+///    Group keys are copied once, when the group is created, into one
+///    flat value array that later lookups compare against. A group's key
+///    token (the record carried as Window::group_key) is built once, for
+///    its first window, so groups that never emit one (a position seen
+///    once) never pay for it. The per-deposit cost does not depend on how
+///    many groups exist.
+///  - A WindowSpec::IsTrivial() spec skips grouping entirely: each event
+///    becomes its own window and no group is created.
+///  - Formation deadlines sit in a multimap of (deadline, group id); each
+///    group keeps the iterator of its own entry, so re-registering is an
+///    O(log n) insert plus an O(1) erase, and equal deadlines fire in
+///    registration order.
+///
+/// Flush() emits groups in ascending key order (Value::operator<, field by
+/// field), independent of hash layout or arrival order, so end-of-stream
+/// output is deterministic.
 ///
 /// Not thread-safe; callers (receivers) serialize access.
 class WindowOperator {
  public:
   explicit WindowOperator(WindowSpec spec);
+  // Groups hold iterators into deadline_index_.
+  WindowOperator(const WindowOperator&) = delete;
+  WindowOperator& operator=(const WindowOperator&) = delete;
 
   const WindowSpec& spec() const { return spec_; }
 
@@ -78,30 +107,112 @@ class WindowOperator {
   uint64_t windows_produced() const { return windows_produced_; }
 
  private:
+  using DeadlineIndex = std::multimap<Timestamp, uint32_t>;
+
+  /// Wave-window bookkeeping, allocated on a group's first wave event.
+  struct WaveState {
+    // Events buffered per (sub-)wave until the wave is complete; completed
+    // waves queue up in completion order.
+    std::map<WaveTag, std::vector<CWEvent>> buffers;
+    std::map<WaveTag, uint32_t> last_serial;
+    std::deque<WaveTag> completed;
+    /// Greatest wave already consumed into a produced window; arrivals at
+    /// or behind it (wave-tag monotonicity invariant) abort via CWF_DCHECK.
+    WaveTag consumed_frontier;
+    bool has_consumed_frontier = false;
+  };
+
+  /// FIFO of buffered events on a vector. A pop advances a head index and
+  /// the dead prefix is erased once it is as long as the live part, so a
+  /// pop moves one event amortized; Take() hands the buffer itself to a
+  /// window.
+  class EventQueue {
+   public:
+    bool empty() const { return head_ == events_.size(); }
+    size_t size() const { return events_.size() - head_; }
+    std::vector<CWEvent>::const_iterator begin() const {
+      return events_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    std::vector<CWEvent>::const_iterator end() const { return events_.end(); }
+
+    /// Append `event`; an empty queue first reserves `expected` slots.
+    void Push(const CWEvent& event, size_t expected) {
+      if (empty()) {
+        events_.reserve(expected);
+      }
+      events_.push_back(event);
+    }
+
+    /// Move the `n` oldest events to the back of `dst`.
+    void PopInto(size_t n, std::vector<CWEvent>* dst);
+
+    /// Every buffered event, oldest first; the queue is left empty and
+    /// without a buffer.
+    std::vector<CWEvent> Take();
+
+   private:
+    std::vector<CWEvent> events_;
+    size_t head_ = 0;
+  };
+
+  /// One group-by partition. No member allocates at construction.
   struct GroupState {
-    std::deque<CWEvent> queue;
+    /// Tuple/time windows: buffered events, oldest first.
+    EventQueue queue;
     // Tuple windows with step > size: events between windows to skip.
     size_t skip_next = 0;
     // -- time windows --
     bool start_set = false;
     Timestamp window_start;  // inclusive; window covers [start, start+size)
-    // -- wave windows --
-    // Events buffered per (sub-)wave until the wave is complete; completed
-    // waves queue up in completion order.
-    std::map<WaveTag, std::vector<CWEvent>> wave_buffers;
-    std::map<WaveTag, uint32_t> wave_last_serial;
-    std::deque<WaveTag> completed_waves;
-    /// Greatest wave already consumed into a produced window; arrivals at
-    /// or behind it (wave-tag monotonicity invariant) abort via CWF_DCHECK.
-    WaveTag consumed_wave_frontier;
-    bool has_consumed_frontier = false;
+    /// Size of the last window that took the queue's buffer (TakeQueue);
+    /// the next first event reserves that much.
+    size_t last_window_size = 0;
+    /// Dense id: the group's key is key_values_[id * fields, +fields).
+    uint32_t id = 0;
+    /// Key record (group-by field name -> value, in group_by order), built
+    /// by KeyToken() for the group's first window; nil until then and
+    /// without a group-by.
     Token group_key_token;
-    /// Deadline currently registered in deadline_index_ (Max = none).
+    std::unique_ptr<WaveState> waves;
+    /// Deadline currently registered in deadline_index_ (Max = none) and,
+    /// when registered, its entry there.
     Timestamp registered_deadline = Timestamp::Max();
+    DeadlineIndex::iterator deadline_entry;
   };
 
-  Status ExtractKey(const CWEvent& event, GroupKey* key,
-                    Token* key_token) const;
+  /// Hash-index slot: a group id and the low 32 bits of its key's mixed
+  /// hash, which also pick the home slot.
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t group = kNoGroup;
+  };
+
+  static constexpr uint32_t kNoGroup = UINT32_MAX;
+
+  /// Resolve `event`'s group, creating it on first sight. Returns
+  /// InvalidArgument if the spec has a group-by but the event's token is
+  /// not a record carrying all group-by fields.
+  Status FindGroup(const CWEvent& event, uint32_t* id);
+
+  /// Whether group `id`'s key equals the values in key_scratch_.
+  bool KeyMatches(uint32_t id) const;
+
+  /// Append a group for the key in key_scratch_; returns its id.
+  uint32_t AddGroup();
+
+  /// `g`'s key as a record token (Window::group_key), built on first use.
+  const Token& KeyToken(GroupState* g);
+
+  /// Double the hash index (at most half full after a grow).
+  void GrowIndex();
+
+  /// A window of `g`'s whole queue that takes the queue's buffer (used
+  /// events are consumed): no event is copied, and the group holds no
+  /// event memory until its next event.
+  Window TakeQueue(GroupState* g);
+
+  /// A window holding a copy of `g`'s queue (events stay buffered).
+  Window CopyQueue(GroupState* g);
 
   void PutTuple(GroupState* g, const CWEvent& event, std::vector<Window>* out);
   void PutTime(GroupState* g, const CWEvent& event, std::vector<Window>* out);
@@ -110,11 +221,9 @@ class WindowOperator {
   /// Emit the current time window of `g` and slide it forward by `step`.
   void CloseTimeWindow(GroupState* g, std::vector<Window>* out);
 
-  /// Re-register `g`'s formation deadline in deadline_index_ after any
-  /// mutation (keeps NextDeadline()/OnTimeout() off the O(groups) path).
-  void UpdateDeadline(const GroupKey& key, GroupState* g);
-
-  Window MakeWindow(const GroupState& g, size_t count) const;
+  /// Re-register group `id`'s formation deadline in deadline_index_ after
+  /// any mutation (keeps NextDeadline()/OnTimeout() off the O(groups) path).
+  void UpdateDeadline(uint32_t id, GroupState* g);
 
   /// O(groups) recount of the buffered events: the DCHECK reference for
   /// `pending_`.
@@ -127,9 +236,23 @@ class WindowOperator {
   static constexpr uint64_t kPendingCheckPeriod = 1024;
 
   WindowSpec spec_;
-  std::map<GroupKey, GroupState> groups_;
-  /// Pending time-window deadlines, earliest first.
-  std::multimap<Timestamp, GroupKey> deadline_index_;
+  /// spec_.IsTrivial(): every event is its own window, no group exists.
+  bool trivial_ = false;
+  /// One per group-by field, in group_by order.
+  std::vector<FieldPosition> key_fields_;
+  /// The key of the event being deposited: pointers into its record.
+  std::vector<const Value*> key_scratch_;
+  /// Groups by dense id; a deque keeps addresses stable as it grows.
+  std::deque<GroupState> groups_;
+  /// Every group's key values, group_by.size() per group in id order: one
+  /// flat array, so a lookup compares keys without chasing a pointer.
+  std::vector<Value> key_values_;
+  /// Open-addressing hash index over groups_ (linear probing; size is a
+  /// power of two, at most half full). Empty without a group-by.
+  std::vector<Slot> index_;
+  /// Pending time-window deadlines, earliest first; ties in registration
+  /// order.
+  DeadlineIndex deadline_index_;
   std::vector<CWEvent> expired_;
   uint64_t windows_produced_ = 0;
   /// Events buffered across all groups (see PendingEventCount()).

@@ -1,5 +1,6 @@
 #include "window/window_spec.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cwf {
@@ -90,9 +91,16 @@ Status WindowSpec::Validate() const {
     return Status::InvalidArgument(
         "formation_timeout only applies to time windows");
   }
-  for (const std::string& field : group_by) {
-    if (field.empty()) {
+  for (size_t i = 0; i < group_by.size(); ++i) {
+    if (group_by[i].empty()) {
       return Status::InvalidArgument("empty group-by field name");
+    }
+    // The key token is a record and holds each name once, so a repeated
+    // field would make it disagree with the key the groups are found by.
+    if (std::find(group_by.begin(), group_by.begin() + i, group_by[i]) !=
+        group_by.begin() + i) {
+      return Status::InvalidArgument("repeated group-by field '" +
+                                     group_by[i] + "'");
     }
   }
   return Status::OK();

@@ -85,10 +85,12 @@ struct WindowSpec {
   /// \brief Derived consumption mode, for introspection.
   ConsumptionMode consumption_mode() const;
 
-  /// \brief True for the SingleEvent spec (receivers take a fast path).
+  /// \brief True for the SingleEvent spec: the window operator then hands
+  /// each event out as its own window without creating a group.
   bool IsTrivial() const;
 
-  /// \brief Reject non-positive sizes/steps and unit mismatches.
+  /// \brief Reject non-positive sizes/steps, unit mismatches and empty or
+  /// repeated group-by fields.
   Status Validate() const;
 
   std::string ToString() const;

@@ -82,6 +82,31 @@ TEST(RecordTest, EqualityIsFieldwise) {
   EXPECT_FALSE(a == b);
 }
 
+TEST(RecordTest, IndexOfTriesTheHintThenScans) {
+  Record r;
+  r.Set("a", 1).Set("b", 2).Set("c", 3);
+  EXPECT_EQ(r.IndexOf("b", 1), 1);
+  EXPECT_EQ(r.IndexOf("b", 0), 1);   // wrong hint: found by scan
+  EXPECT_EQ(r.IndexOf("c", 99), 2);  // out-of-range hint
+  EXPECT_EQ(r.IndexOf("z", 0), -1);
+}
+
+TEST(FieldPositionTest, FollowsLayoutChanges) {
+  FieldPosition car("car");
+  Record ab;
+  ab.Set("time", 1).Set("car", 7);
+  Record ba;
+  ba.Set("car", 8).Set("time", 2);
+  Record none;
+  none.Set("time", 3);
+  ASSERT_NE(car.Find(ab), nullptr);
+  EXPECT_EQ(car.Find(ab)->AsInt(), 7);
+  EXPECT_EQ(car.Find(ba)->AsInt(), 8);
+  EXPECT_EQ(car.Find(ab)->AsInt(), 7);
+  EXPECT_EQ(car.Find(none), nullptr);
+  EXPECT_EQ(car.name(), "car");
+}
+
 TEST(RecordTest, ToString) {
   Record r;
   r.Set("a", 1).Set("b", "z");

@@ -159,5 +159,35 @@ TEST(PositionReportTest, TokenRoundTrip) {
   EXPECT_NE(r.ToString().find("car=77"), std::string::npos);
 }
 
+TEST(PositionReportTest, FromTokenAcceptsAnyFieldOrder) {
+  // The decoder checks each field at its ToToken() position first; a
+  // record built in another order must decode the same by name.
+  auto rec = std::make_shared<Record>();
+  rec->Set(kFieldPos, Value(int64_t{900}))
+      .Set(kFieldSeg, Value(int64_t{3}))
+      .Set(kFieldDir, Value(int64_t{1}))
+      .Set(kFieldLane, Value(int64_t{4}))
+      .Set(kFieldXway, Value(int64_t{2}))
+      .Set(kFieldSpeed, Value(41.5))
+      .Set(kFieldCar, Value(int64_t{8}))
+      .Set(kFieldTime, Value(int64_t{60}));
+  const PositionReport r = PositionReport::FromToken(Token(RecordPtr(rec)));
+  EXPECT_EQ(r.time, 60);
+  EXPECT_EQ(r.car, 8);
+  EXPECT_DOUBLE_EQ(r.speed, 41.5);
+  EXPECT_EQ(r.xway, 2);
+  EXPECT_EQ(r.lane, 4);
+  EXPECT_EQ(r.dir, 1);
+  EXPECT_EQ(r.seg, 3);
+  EXPECT_EQ(r.pos, 900);
+}
+
+TEST(PositionReportDeathTest, FromTokenMissingFieldAborts) {
+  auto rec = std::make_shared<Record>();
+  rec->Set(kFieldTime, Value(int64_t{1}));
+  EXPECT_DEATH(PositionReport::FromToken(Token(RecordPtr(rec))),
+               "lacks field car");
+}
+
 }  // namespace
 }  // namespace cwf::lrb

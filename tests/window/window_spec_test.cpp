@@ -62,6 +62,16 @@ TEST(WindowSpecTest, ValidationRejectsEmptyGroupByField) {
   EXPECT_FALSE(s.Validate().ok());
 }
 
+TEST(WindowSpecTest, ValidationRejectsRepeatedGroupByField) {
+  // The key token is a record, which holds each field name once.
+  WindowSpec s = WindowSpec::Tuples(2, 1).GroupBy({"a", "b", "a"});
+  const Status st = s.Validate();
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("repeated group-by field 'a'"),
+            std::string::npos);
+  EXPECT_TRUE(WindowSpec::Tuples(2, 1).GroupBy({"a", "b"}).Validate().ok());
+}
+
 TEST(WindowSpecTest, ToStringMentionsKeyParameters) {
   const std::string str =
       WindowSpec::Time(Seconds(60), Seconds(30)).GroupBy({"seg"}).ToString();
