@@ -1,7 +1,7 @@
 // Determinism golden: the simulated outputs of one fixed-seed Linear Road
 // run per execution model, hierarchical (inner DDF composite) and flat,
-// checked exactly, plus the six Figure 8 configurations over the paper's
-// full 600 s ramp. Any refactor of the directors, schedulers or receivers
+// checked exactly, plus the Figure 6, 7 and 8 configurations over the
+// paper's full 600 s ramp. Any refactor of the directors, schedulers or receivers
 // must leave every figure below unchanged; a legitimate behavior change
 // re-records the table (the failure message prints the new row).
 
@@ -140,6 +140,45 @@ TEST_P(Fig8DeterminismGolden, SimulatedOutputsMatchExactly) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, Fig8DeterminismGolden,
                          ::testing::ValuesIn(kFig8Goldens), GoldenName);
+
+// Figure 6 (bench_fig6_rr_sensitivity: RR slice sweep) and Figure 7
+// (bench_fig7_qbs_sensitivity: QBS basic quantum sweep) over the same
+// ramp. RR-q40000 and QBS-q500 are the Fig. 8 rows above.
+struct SweepGolden {
+  Duration quantum;
+  Golden golden;
+};
+
+constexpr SweepGolden kFig67Goldens[] = {
+    // clang-format off
+    {5000, {SchedulerKind::kRR, true, 326594, 36276, 26511, 5229, 26511, 5, 16.501812212704163, 73.219577999999998, 79.108266}},
+    {10000, {SchedulerKind::kRR, true, 325998, 26341, 27648, 4987, 27649, 5, 14.669173780779802, 62.588946, 67.587726000000004}},
+    {20000, {SchedulerKind::kRR, true, 325186, 21271, 28314, 4856, 28316, 5, 13.303832445539308, 56.644115999999997, 60.683563999999997}},
+    {1000, {SchedulerKind::kQBS, true, 324283, 17083, 28813, 4750, 28835, 5, 12.148926162357268, 52.386814999999999, 55.344309000000003}},
+    {5000, {SchedulerKind::kQBS, true, 324157, 16536, 28719, 4734, 28816, 5, 12.451321860719384, 54.221009000000002, 56.417200999999999}},
+    {10000, {SchedulerKind::kQBS, true, 324106, 16473, 28592, 4653, 28825, 5, 12.160838986989368, 54.670141000000001, 57.527681999999999}},
+    {20000, {SchedulerKind::kQBS, true, 323839, 16444, 28316, 4476, 28839, 5, 11.327467162699534, 54.678147000000003, 60.374738999999998}},
+    // clang-format on
+};
+
+class Fig67DeterminismGolden : public ::testing::TestWithParam<SweepGolden> {
+};
+
+TEST_P(Fig67DeterminismGolden, SimulatedOutputsMatchExactly) {
+  const SweepGolden& g = GetParam();
+  ExperimentOptions opt;
+  opt.scheduler = g.golden.kind;
+  opt.rr.slice = g.quantum;
+  opt.qbs.basic_quantum = g.quantum;
+  ExpectMatches(g.golden, opt);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QuantumSweeps, Fig67DeterminismGolden, ::testing::ValuesIn(kFig67Goldens),
+    [](const ::testing::TestParamInfo<SweepGolden>& info) {
+      return std::string(SchedulerKindName(info.param.golden.kind)) + "_q" +
+             std::to_string(info.param.quantum);
+    });
 
 }  // namespace
 }  // namespace cwf::lrb
