@@ -48,9 +48,6 @@ void BM_TupleWindowPut(benchmark::State& state) {
     ++seq;
     CWF_CHECK(op.Put(IntEvent(1, static_cast<int64_t>(seq), seq), &out).ok());
     benchmark::DoNotOptimize(out);
-    if (seq % 4096 == 0) {
-      op.DrainExpired();
-    }
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -5,8 +5,8 @@
 //   * orders join their shipment scans via wave-synchronization-free
 //     group-by windows (order id);
 //   * a time window computes per-warehouse throughput each minute;
-//   * late shipments (no scan within the window timeout) trigger alerts
-//     through the expired-items path.
+//   * orders whose scan never arrives stay buffered in the matcher's
+//     group-by window and are reported from its pending-event count.
 // Runs under the SCWF director with the Rate-Based scheduler.
 
 #include <cstdio>
@@ -53,7 +53,7 @@ int main() {
 
   // Fulfillment matcher: windows of 2 events grouped by order id — an
   // order followed by its scan. Orders whose scan never arrives stay as
-  // partial windows and are surfaced via the pending/expired path below.
+  // partial windows, counted by PendingEventCount() below.
   auto* matcher = wf.AddActor<WindowFnActor>(
       "fulfillment",
       WindowSpec::Tuples(2, 2).GroupBy({"order"}).DeleteUsedEvents(true),
@@ -147,8 +147,8 @@ int main() {
                 static_cast<long long>(
                     r.token.Field("events_per_min").AsInt()));
   }
-  // The unmatched order sits in the matcher's partial window; surface it
-  // via the expired/pending path.
+  // The unmatched order sits in the matcher's partial window, so it is
+  // still pending there.
   std::printf("orders still awaiting their scan: %zu (order 17)\n",
               matcher->in()->PendingEventCount());
   return 0;

@@ -107,18 +107,6 @@ size_t InputPort::PendingEventCount() const {
   return count;
 }
 
-std::vector<CWEvent> InputPort::DrainExpired() {
-  std::vector<CWEvent> out;
-  for (const auto& r : receivers_) {
-    if (r) {
-      std::vector<CWEvent> expired = r->DrainExpired();
-      out.insert(out.end(), std::make_move_iterator(expired.begin()),
-                 std::make_move_iterator(expired.end()));
-    }
-  }
-  return out;
-}
-
 Status OutputPort::Broadcast(const CWEvent& event) {
   for (Receiver* r : remote_receivers_) {
 #if CWF_SCHEMA_CHECK_IS_ON

@@ -53,10 +53,6 @@ class InputPort : public Port {
 
   const WindowSpec& spec() const { return spec_; }
 
-  /// \brief Redefine the window semantics; only valid before initialization
-  /// (receivers are built from the spec at that point).
-  void set_spec(WindowSpec spec) { spec_ = std::move(spec); }
-
   /// \brief Declare what this port requires of incoming tokens. The schema
   /// pass (analysis/schema_pass.h) checks every incoming channel's resolved
   /// producer type against it (CWF70xx); default Unknown = no requirement.
@@ -94,9 +90,6 @@ class InputPort : public Port {
 
   /// \brief Sum of buffered-but-unwindowed events over all channels.
   size_t PendingEventCount() const;
-
-  /// \brief Collect expired events from all channels.
-  std::vector<CWEvent> DrainExpired();
 
  private:
   WindowSpec spec_;

@@ -64,9 +64,6 @@ class Receiver {
   /// \brief Events buffered but not yet part of a produced window.
   virtual size_t PendingEventCount() const { return 0; }
 
-  /// \brief Remove and return events that expired out of the window scope.
-  virtual std::vector<CWEvent> DrainExpired() { return {}; }
-
   /// \brief Earliest timer this receiver needs (time-window formation
   /// timeouts); Timestamp::Max() when none.
   virtual Timestamp NextDeadline() const { return Timestamp::Max(); }

@@ -104,11 +104,6 @@ class BlockingWindowedReceiver : public WindowedReceiver {
     return WindowedReceiver::PendingEventCount();
   }
 
-  std::vector<CWEvent> DrainExpired() override {
-    ScopedLock lock(*mutex_);
-    return WindowedReceiver::DrainExpired();
-  }
-
   Timestamp NextDeadline() const override {
     ScopedLock lock(*mutex_);
     return WindowedReceiver::NextDeadline();

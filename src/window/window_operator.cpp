@@ -155,10 +155,9 @@ Status WindowOperator::Put(const CWEvent& event, std::vector<Window>* out) {
   return Status::OK();
 }
 
-void WindowOperator::EventQueue::PopInto(size_t n, std::vector<CWEvent>* dst) {
-  const auto first = events_.begin() + static_cast<std::ptrdiff_t>(head_);
-  std::move(first, first + static_cast<std::ptrdiff_t>(n),
-            std::back_inserter(*dst));
+void WindowOperator::EventQueue::Pop(size_t n) {
+  std::fill_n(events_.begin() + static_cast<std::ptrdiff_t>(head_), n,
+              CWEvent());
   head_ += n;
   if (head_ == events_.size()) {
     events_.clear();
@@ -203,7 +202,7 @@ void WindowOperator::PutTuple(GroupState* g, const CWEvent& event,
     // step > size: this event falls in the gap between windows and will
     // never be part of one.
     --g->skip_next;
-    expired_.push_back(event);
+    ++expired_;
     return;
   }
   g->queue.Push(event, g->last_window_size);
@@ -225,8 +224,9 @@ void WindowOperator::PutTuple(GroupState* g, const CWEvent& event,
   out->push_back(CopyQueue(g));
   const size_t drop = std::min(step, size);
   g->skip_next = step - drop;
-  g->queue.PopInto(drop, &expired_);
+  g->queue.Pop(drop);
   pending_ -= drop;
+  expired_ += drop;
 }
 
 void WindowOperator::PutTime(GroupState* g, const CWEvent& event,
@@ -243,7 +243,7 @@ void WindowOperator::PutTime(GroupState* g, const CWEvent& event,
   for (;;) {
     if (event.timestamp < g->window_start) {
       // Straggler: before the (possibly just advanced) current window.
-      expired_.push_back(event);
+      ++expired_;
       return;
     }
     if (event.timestamp < g->window_start + size) {
@@ -280,8 +280,9 @@ void WindowOperator::CloseTimeWindow(GroupState* g, std::vector<Window>* out) {
        it != g->queue.end() && it->timestamp < g->window_start; ++it) {
     ++expired;
   }
-  g->queue.PopInto(expired, &expired_);
+  g->queue.Pop(expired);
   pending_ -= expired;
+  expired_ += expired;
 }
 
 void WindowOperator::UpdateDeadline(uint32_t id, GroupState* g) {
@@ -362,8 +363,7 @@ void WindowOperator::PutWave(GroupState* g, const CWEvent& event,
       if (buffer_it != ws.buffers.end()) {
         pending_ -= buffer_it->second.size();
         if (!spec_.delete_used_events) {
-          std::move(buffer_it->second.begin(), buffer_it->second.end(),
-                    std::back_inserter(expired_));
+          expired_ += buffer_it->second.size();
         }
         ws.buffers.erase(buffer_it);
       }
@@ -450,12 +450,6 @@ void WindowOperator::Flush(std::vector<Window>* out) {
   CWF_DCHECK_MSG(pending_ == CountPendingByWalk(),
                  "pending-event counter " << pending_ << " != walk "
                                           << CountPendingByWalk());
-}
-
-std::vector<CWEvent> WindowOperator::DrainExpired() {
-  std::vector<CWEvent> out;
-  out.swap(expired_);
-  return out;
 }
 
 size_t WindowOperator::PendingEventCount() const {

@@ -12,6 +12,12 @@
 // of an event belonging to a later window or by a registered timeout
 // (`NextDeadline` / `OnTimeout`), exactly as the TM windowed receiver does in
 // the paper.
+//
+// Expiry is counted, not queued (`expired_count()`): no activity in this
+// engine handles expired events, so each is released as soon as it slides
+// out of every future window rather than held for the whole run. An
+// expired-items activity would come back as a routed output port, not as a
+// buffer here.
 
 #ifndef CONFLUENCE_WINDOW_WINDOW_OPERATOR_H_
 #define CONFLUENCE_WINDOW_WINDOW_OPERATOR_H_
@@ -86,8 +92,10 @@ class WindowOperator {
   /// (end-of-stream flush).
   void Flush(std::vector<Window>* out);
 
-  /// \brief Remove and return events that slid out of every future window.
-  std::vector<CWEvent> DrainExpired();
+  /// \brief Events that slid out of every future window over the
+  /// operator's lifetime. Expired events are counted, not kept: each one is
+  /// released the moment it expires.
+  uint64_t expired_count() const { return expired_; }
 
   /// \brief Events currently buffered across all groups, in O(1).
   ///
@@ -122,10 +130,10 @@ class WindowOperator {
     bool has_consumed_frontier = false;
   };
 
-  /// FIFO of buffered events on a vector. A pop advances a head index and
-  /// the dead prefix is erased once it is as long as the live part, so a
-  /// pop moves one event amortized; Take() hands the buffer itself to a
-  /// window.
+  /// FIFO of buffered events on a vector. A pop releases the event and
+  /// advances a head index; the dead prefix is erased once it is as long as
+  /// the live part, so a pop moves one event amortized. Take() hands the
+  /// buffer itself to a window.
   class EventQueue {
    public:
     bool empty() const { return head_ == events_.size(); }
@@ -143,8 +151,9 @@ class WindowOperator {
       events_.push_back(event);
     }
 
-    /// Move the `n` oldest events to the back of `dst`.
-    void PopInto(size_t n, std::vector<CWEvent>* dst);
+    /// Drop the `n` oldest events, releasing each one (the dead prefix
+    /// keeps no record alive).
+    void Pop(size_t n);
 
     /// Every buffered event, oldest first; the queue is left empty and
     /// without a buffer.
@@ -253,7 +262,8 @@ class WindowOperator {
   /// Pending time-window deadlines, earliest first; ties in registration
   /// order.
   DeadlineIndex deadline_index_;
-  std::vector<CWEvent> expired_;
+  /// Events expired so far (see expired_count()).
+  uint64_t expired_ = 0;
   uint64_t windows_produced_ = 0;
   /// Events buffered across all groups (see PendingEventCount()).
   size_t pending_ = 0;

@@ -57,8 +57,8 @@ struct WindowSpec {
 
   /// If true, every event delivered in a produced window is deleted from the
   /// queue (recent/consumption semantics). If false, events persist until
-  /// they slide out of all future windows, at which point they move to the
-  /// expired-items queue.
+  /// they slide out of all future windows, at which point they expire:
+  /// they are counted (WindowOperator::expired_count()) and released.
   bool delete_used_events = false;
 
   /// \brief Trivial spec: deliver every event alone, consuming it.

@@ -50,8 +50,6 @@ class WindowedReceiver : public Receiver {
 
   size_t PendingEventCount() const override { return op_.PendingEventCount(); }
 
-  std::vector<CWEvent> DrainExpired() override { return op_.DrainExpired(); }
-
   Timestamp NextDeadline() const override { return op_.NextDeadline(); }
 
   void OnTimeout(Timestamp now) override {

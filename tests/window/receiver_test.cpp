@@ -63,15 +63,6 @@ TEST(WindowedReceiverTest, FlushDrainsPartials) {
   EXPECT_EQ(r.Get()->size(), 1u);
 }
 
-TEST(WindowedReceiverTest, DrainExpiredPassesThrough) {
-  InputPort port(nullptr, "in", WindowSpec::Tuples(2, 1));
-  WindowedReceiver r(&port, port.spec());
-  ASSERT_TRUE(r.Put(Ev(Token(1), 1)).ok());
-  ASSERT_TRUE(r.Put(Ev(Token(2), 2)).ok());
-  ASSERT_TRUE(r.Put(Ev(Token(3), 3)).ok());
-  EXPECT_EQ(r.DrainExpired().size(), 2u);
-}
-
 TEST(TMWindowedReceiverTest, ProducedWindowsGoToCallbackNotLocally) {
   InputPort port(nullptr, "in", WindowSpec::Tuples(2, 1));
   std::vector<Window> routed;

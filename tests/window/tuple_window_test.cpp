@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "test_util.h"
 #include "window/window_operator.h"
 
@@ -41,21 +39,17 @@ TEST(TupleWindowTest, TumblingSizeEqualsStep) {
 
 TEST(TupleWindowTest, SamplingStepGreaterThanSize) {
   // Windows of 2 every 3 events: the event between windows is skipped
-  // (routed to the expired-items queue without ever joining a window).
+  // (expires without ever joining a window).
   WindowOperator op(WindowSpec::Tuples(2, 3));
   auto windows = PutAll(&op, {1, 2, 3, 4, 5, 6, 7, 8});
   ASSERT_EQ(windows.size(), 3u);
   EXPECT_EQ(Ints(windows[0]), (std::vector<int64_t>{1, 2}));
   EXPECT_EQ(Ints(windows[1]), (std::vector<int64_t>{4, 5}));
   EXPECT_EQ(Ints(windows[2]), (std::vector<int64_t>{7, 8}));
-  // Skipped events 3 and 6 expired unused.
-  auto expired = op.DrainExpired();
-  std::vector<int64_t> expired_vals;
-  for (const auto& e : expired) expired_vals.push_back(e.token.AsInt());
-  EXPECT_TRUE(std::find(expired_vals.begin(), expired_vals.end(), 3) !=
-              expired_vals.end());
-  EXPECT_TRUE(std::find(expired_vals.begin(), expired_vals.end(), 6) !=
-              expired_vals.end());
+  // Skipped events 3 and 6 expired unused; every other event expired when
+  // its window slid on.
+  EXPECT_EQ(op.expired_count(), 8u);
+  EXPECT_EQ(op.PendingEventCount(), 0u);
 }
 
 TEST(TupleWindowTest, DeleteUsedEventsConsumesWholeWindow) {
@@ -70,17 +64,16 @@ TEST(TupleWindowTest, DeleteUsedEventsConsumesWholeWindow) {
 TEST(TupleWindowTest, ExpiredEventsSlideOut) {
   WindowOperator op(WindowSpec::Tuples(2, 1));
   PutAll(&op, {1, 2, 3});
-  auto expired = op.DrainExpired();
-  ASSERT_EQ(expired.size(), 2u);  // 1 and 2 slid out of scope
-  EXPECT_EQ(expired[0].token.AsInt(), 1);
-  EXPECT_EQ(expired[1].token.AsInt(), 2);
-  EXPECT_TRUE(op.DrainExpired().empty());  // drained
+  EXPECT_EQ(op.expired_count(), 2u);  // 1 and 2 slid out of scope
+  EXPECT_EQ(op.PendingEventCount(), 1u);
+  PutAll(&op, {4});
+  EXPECT_EQ(op.expired_count(), 3u);  // a lifetime count: 3 joins 1 and 2
 }
 
 TEST(TupleWindowTest, NoExpiredUnderConsumptionMode) {
   WindowOperator op(WindowSpec::Tuples(2, 1).DeleteUsedEvents(true));
   PutAll(&op, {1, 2, 3, 4});
-  EXPECT_TRUE(op.DrainExpired().empty());
+  EXPECT_EQ(op.expired_count(), 0u);
 }
 
 TEST(TupleWindowTest, GroupByPartitionsStream) {

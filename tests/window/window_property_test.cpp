@@ -54,7 +54,7 @@ TEST_P(TupleWindowProperty, Invariants) {
   EXPECT_EQ(static_cast<int64_t>(windows.size()), expected_windows);
 
   // Conservation.
-  const size_t expired = op.DrainExpired().size();
+  const uint64_t expired = op.expired_count();
   const size_t pending = op.PendingEventCount();
   if (p.delete_used) {
     EXPECT_EQ(static_cast<int64_t>(pending),
@@ -110,14 +110,13 @@ TEST_P(TimeWindowProperty, Invariants) {
   if (p.delete_used) {
     // Consumption semantics: every event lands in exactly one window or
     // expires unused (stragglers between gapped windows).
-    EXPECT_EQ(static_cast<int64_t>(events_in_windows +
-                                   op.DrainExpired().size()),
+    EXPECT_EQ(static_cast<int64_t>(events_in_windows + op.expired_count()),
               p.n_events);
   } else if (p.step_s >= p.size_s) {
     // Non-consuming tumbling windows: each event appears in at most one
     // window (and additionally expires once it slides out).
     EXPECT_LE(static_cast<int64_t>(events_in_windows), p.n_events);
-    EXPECT_LE(static_cast<int64_t>(op.DrainExpired().size()), p.n_events);
+    EXPECT_LE(static_cast<int64_t>(op.expired_count()), p.n_events);
   } else {
     // Overlapping windows may duplicate events.
     EXPECT_GE(static_cast<int64_t>(events_in_windows), p.n_events);
@@ -231,6 +230,8 @@ TEST_P(PendingCounterProperty, MatchesBruteForceCountAfterEveryOperation) {
   uint64_t next_root = 1;
   int64_t now_us = 0;
   int64_t expected = 0;
+  // expired_count() as of the last settle.
+  uint64_t expired_seen = 0;
 
   std::vector<Window> out;
   auto settle = [&](size_t windows_before) {
@@ -239,7 +240,8 @@ TEST_P(PendingCounterProperty, MatchesBruteForceCountAfterEveryOperation) {
         expected -= static_cast<int64_t>(out[i].size());
       }
     }
-    expected -= static_cast<int64_t>(op.DrainExpired().size());
+    expected -= static_cast<int64_t>(op.expired_count() - expired_seen);
+    expired_seen = op.expired_count();
   };
 
   for (int i = 0; i < 2000; ++i) {
@@ -247,7 +249,7 @@ TEST_P(PendingCounterProperty, MatchesBruteForceCountAfterEveryOperation) {
     const int64_t roll = uniform(0, 99);
     if (roll == 0) {
       op.Flush(&out);
-      op.DrainExpired();
+      expired_seen = op.expired_count();
       open_waves.clear();
       expected = 0;
     } else if (roll < 8 && p.unit == WindowUnit::kTime) {

@@ -10,11 +10,12 @@
 // JSON for Perfetto (--trace FILE, implies tracing on), and a self-scrape
 // of its own /metrics endpoint (--scrape-out FILE) that exercises the
 // HTTP path end-to-end for CI. --profile enables the host-time profiler
-// (and tracing, which critical-path attribution needs) and prints the
-// per-(actor, phase) decomposition plus the top critical-path
-// contributors per query type after the run; --profile-out FILE writes
-// that report to a file as well. --serve-ms keeps the server up after the
-// run for interactive cwf_top sessions.
+// and prints the per-(actor, phase) decomposition after the run;
+// --profile-out FILE writes that report to a file as well. Profiling does
+// not turn tracing on: the report adds the top critical-path contributors
+// per query type only when tracing is on too (--trace FILE), because that
+// attribution walks the wave-lineage trace. --serve-ms keeps the server up
+// after the run for interactive cwf_top sessions.
 //
 // With --listen the tool switches from the virtual-clock generator to a
 // live network front door: an epoll IngestServer (src/net/) feeds position
@@ -274,14 +275,18 @@ int RunListenMode(const CliOptions& options) {
 }
 
 /// The combined profiling report: per-(actor, phase) self-time
-/// decomposition followed by the critical-path attribution.
+/// decomposition followed by the critical-path attribution, which needs the
+/// wave-lineage trace and so is rendered only when tracing is on.
 std::string RenderProfileReport() {
   const cwf::obs::ProfileSnapshot snapshot =
       cwf::obs::SnapshotProfile(cwf::obs::MetricsRegistry::Global());
-  const cwf::obs::CriticalPathReport paths =
-      cwf::obs::ComputeCriticalPaths(cwf::obs::GlobalTracer());
-  return cwf::obs::RenderProfileText(snapshot) + "\n" +
-         cwf::obs::RenderCriticalPathText(paths);
+  std::string report = cwf::obs::RenderProfileText(snapshot) + "\n";
+  if (!cwf::obs::TracingEnabled()) {
+    return report +
+           "# critical paths not computed: tracing is off (add --trace FILE)\n";
+  }
+  return report + cwf::obs::RenderCriticalPathText(
+                      cwf::obs::ComputeCriticalPaths(cwf::obs::GlobalTracer()));
 }
 
 }  // namespace
@@ -346,8 +351,6 @@ int main(int argc, char** argv) {
   }
   if (options.profile) {
     cwf::obs::SetProfilingEnabled(true);
-    // Critical-path attribution walks the wave-lineage trace.
-    cwf::obs::SetTracingEnabled(true);
   }
 
   cwf::obs::MetricsServer server;
