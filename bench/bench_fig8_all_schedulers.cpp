@@ -4,6 +4,8 @@
 //
 // With --bench-dir DIR each configuration additionally lands as a canonical
 // BENCH_fig8_<label>.json (bench/harness.h schema) for tools/bench_compare.
+// Those runs profile with tracing off and record the profiler's
+// host_phase_us, starting every configuration from zeroed counters.
 
 #include <chrono>
 #include <cstdio>
@@ -12,6 +14,8 @@
 
 #include "harness.h"
 #include "lrb/harness.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 
 using namespace cwf;
 using namespace cwf::lrb;
@@ -42,7 +46,12 @@ int main(int argc, char** argv) {
       {SchedulerKind::kEDF, "EDF*", "edf"},
   };
   int failures = 0;
+  if (!bench_dir.empty()) {
+    obs::SetProfilingEnabled(true);
+  }
   for (const Config& cfg : configs) {
+    // Each configuration's host_phase_us covers its own run only.
+    obs::MetricsRegistry::Global().Reset();
     ExperimentOptions opt;
     opt.scheduler = cfg.kind;
     opt.qbs.basic_quantum = 500;
@@ -72,6 +81,8 @@ int main(int argc, char** argv) {
           *res, std::string("fig8_") + cfg.slug, wall_s);
       bench.config["qbs_basic_quantum"] = "500";
       bench.config["rr_slice"] = "40000";
+      bench.host_phase_us =
+          obs::SnapshotProfile(obs::MetricsRegistry::Global()).PhaseTotalsUs();
       const std::string path =
           bench_dir + "/BENCH_fig8_" + cfg.slug + ".json";
       const Status st = bench::WriteBenchJson(bench, path);

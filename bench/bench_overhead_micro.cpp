@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "actors/library.h"
 #include "directors/scwf_director.h"
 #include "stafilos/edf_scheduler.h"
@@ -97,6 +99,48 @@ void BM_ScwfDispatchPerTuple(benchmark::State& state) {
   state.SetLabel(SchedName(kind));
 }
 BENCHMARK(BM_ScwfDispatchPerTuple)->DenseRange(0, 4);
+
+// LRB-shaped dispatch under QBS: one source fans out to five consumers that
+// merge back into a short tail (ten actors), so every tuple costs five
+// enqueues and a merge, as a Linear Road position report does.
+void BM_FanOutDispatchPerTuple(benchmark::State& state) {
+  const size_t batch = 1024;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Workflow wf("fan_out");
+    auto feed = std::make_shared<PushChannel>();
+    auto* src = wf.AddActor<StreamSourceActor>("src", feed);
+    auto* merge =
+        wf.AddActor<MapActor>("merge", [](const Token& t) { return t; });
+    for (int i = 0; i < 5; ++i) {
+      auto* consumer = wf.AddActor<MapActor>(
+          "c" + std::to_string(i),
+          [i](const Token& t) { return Token(t.AsInt() + i); });
+      CWF_CHECK(wf.Connect(src->out(), consumer->in()).ok());
+      CWF_CHECK(wf.Connect(consumer->out(), merge->in()).ok());
+    }
+    auto* tail = wf.AddActor<MapActor>(
+        "tail", [](const Token& t) { return Token(t.AsInt() * 2); });
+    auto* sink = wf.AddActor<NullSink>("sink");
+    auto* audit = wf.AddActor<NullSink>("audit");
+    CWF_CHECK(wf.Connect(merge->out(), tail->in()).ok());
+    CWF_CHECK(wf.Connect(merge->out(), audit->in()).ok());
+    CWF_CHECK(wf.Connect(tail->out(), sink->in()).ok());
+    for (size_t i = 0; i < batch; ++i) {
+      feed->Push(Token(static_cast<int64_t>(i)), Timestamp(0));
+    }
+    feed->Close();
+    VirtualClock clock;
+    CostModel cm;
+    SCWFDirector d(std::make_unique<QBSScheduler>());
+    CWF_CHECK(d.Initialize(&wf, &clock, &cm).ok());
+    state.ResumeTiming();
+    CWF_CHECK(d.Run(Timestamp::Max()).ok());
+    benchmark::DoNotOptimize(sink->consumed_events());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_FanOutDispatchPerTuple);
 
 // The scheduling decision in isolation.
 void BM_GetNextActorDecision(benchmark::State& state) {

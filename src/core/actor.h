@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,6 +25,7 @@
 namespace cwf {
 
 class Director;
+class Workflow;
 
 /// \brief Shared execution services a director hands to its actors.
 struct ExecutionContext {
@@ -84,6 +86,15 @@ class Actor {
   Actor& operator=(const Actor&) = delete;
 
   const std::string& name() const { return name_; }
+
+  /// \brief slot() of an actor no workflow owns.
+  static constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
+
+  /// \brief Dense index of this actor in its owning workflow
+  /// (`workflow.actors()[slot()] == this`), assigned by
+  /// Workflow::AdoptActor; kNoSlot until adopted. Directors, schedulers,
+  /// telemetry and statistics index their per-actor tables by it.
+  size_t slot() const { return slot_; }
 
   // ---- Lifecycle (invoked by the director) ----
 
@@ -175,8 +186,13 @@ class Actor {
   /// \brief Reset firing context and output buffer before fire().
   void BeginFiring();
 
-  /// \brief Hand the buffered outputs to the director for stamping.
+  /// \brief Hand the buffered outputs over, leaving the buffer empty.
   std::vector<PendingOutput> TakePendingOutputs();
+
+  /// \brief The buffered outputs, for the director to stamp and broadcast
+  /// in place (Director::FlushActorOutputs clears them afterwards, keeping
+  /// the buffer's capacity for the next firing).
+  std::vector<PendingOutput>& pending_outputs() { return pending_outputs_; }
 
   /// \brief Called by InputPort::Get to update the firing context.
   void NoteConsumedWindow(const Window& window);
@@ -199,7 +215,10 @@ class Actor {
   ExecutionContext* ctx_ = nullptr;
 
  private:
+  friend class Workflow;  // assigns slot_
+
   std::string name_;
+  size_t slot_ = kNoSlot;
   std::vector<std::unique_ptr<InputPort>> input_ports_;
   std::vector<std::unique_ptr<OutputPort>> output_ports_;
   std::vector<PendingOutput> pending_outputs_;

@@ -48,7 +48,9 @@ Status CompositeActor::Initialize(ExecutionContext* ctx) {
       inner_director_->Initialize(&inner_workflow_, ctx->clock, cost_model));
 
   // Wire boundary inputs: an exposed inner port gets a receiver from the
-  // inner director; outer events are deposited into it directly.
+  // inner director; outer events are deposited into it directly. It is
+  // installed through the inner director, which registers it for its
+  // timeout sweeps even though the inner Initialize has already returned.
   for (InputBinding& binding : input_bindings_) {
     if (binding.inner->actor() == nullptr ||
         inner_workflow_.FindActor(binding.inner->actor()->name()) !=
@@ -57,12 +59,8 @@ Status CompositeActor::Initialize(ExecutionContext* ctx) {
           "exposed input port does not belong to the inner workflow of " +
           name());
     }
-    std::unique_ptr<Receiver> receiver =
-        inner_director_->CreateReceiver(binding.inner);
-    binding.inner_receiver =
-        binding.inner->SetReceiver(binding.inner->ChannelCount(),
-                                   std::move(receiver));
-    binding.inner_receiver->set_owner(inner_director_.get());
+    binding.inner_receiver = inner_director_->InstallReceiver(
+        binding.inner, binding.inner->ChannelCount());
   }
 
   // Wire boundary outputs: the exposed inner port broadcasts into a

@@ -10,10 +10,7 @@ const CostParams& CostModel::ParamsFor(const std::string& actor_name) const {
 Duration CostModel::FiringCost(const std::string& actor_name,
                                size_t input_events,
                                size_t output_events) const {
-  const CostParams& p = ParamsFor(actor_name);
-  return p.base +
-         p.per_input_event * static_cast<Duration>(input_events) +
-         p.per_output_event * static_cast<Duration>(output_events);
+  return ParamsFor(actor_name).Cost(input_events, output_events);
 }
 
 }  // namespace cwf

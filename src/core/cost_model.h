@@ -29,11 +29,22 @@ struct CostParams {
   Duration per_input_event = 10;
   /// Added per event produced by the firing.
   Duration per_output_event = 10;
+
+  /// \brief Modeled duration of one firing that consumed `input_events`
+  /// and produced `output_events` (the one cost formula).
+  Duration Cost(size_t input_events, size_t output_events) const {
+    return base + per_input_event * static_cast<Duration>(input_events) +
+           per_output_event * static_cast<Duration>(output_events);
+  }
 };
 
 /// \brief Modeled execution costs for a workflow, plus the per-director
 /// overheads that distinguish scheduled dispatch from thread-based
 /// execution.
+///
+/// Directors resolve each actor's CostParams once, at Director::Initialize,
+/// and charge firings from that table. A SetActorCost() or SetDefault()
+/// made after Initialize therefore takes effect at the next Initialize.
 class CostModel {
  public:
   CostModel() = default;
@@ -50,7 +61,7 @@ class CostModel {
   /// \brief Parameters in effect for `actor_name`.
   const CostParams& ParamsFor(const std::string& actor_name) const;
 
-  /// \brief Modeled duration of one firing.
+  /// \brief Modeled duration of one firing (ParamsFor(actor_name).Cost).
   Duration FiringCost(const std::string& actor_name, size_t input_events,
                       size_t output_events) const;
 

@@ -1,5 +1,7 @@
 #include "core/director.h"
 
+#include <algorithm>
+
 #include "analysis/analyzer.h"
 #include "analysis/capacity_planner.h"
 #include "analysis/liveness_pass.h"
@@ -18,11 +20,13 @@ Status Director::Initialize(Workflow* workflow, Clock* clock,
   if (workflow == nullptr || clock == nullptr) {
     return Status::InvalidArgument("Initialize() needs a workflow and a clock");
   }
+  initialized_ = false;
   workflow_ = workflow;
   clock_ = clock;
   cost_model_ = cost_model;
   total_firings_ = 0;
-  ClearHalted();
+  deadline_receivers_.clear();
+  ResolveActorTables();
   if (ctx_ == &own_ctx_) {
     own_ctx_.seq = 1;
     own_ctx_.external_id = 1;
@@ -89,6 +93,19 @@ Status Director::Initialize(Workflow* workflow, Clock* clock,
   return Status::OK();
 }
 
+void Director::ResolveActorTables() {
+  const auto& actors = workflow_->actors();
+  timed_sources_.clear();
+  costs_.clear();
+  for (const auto& actor : actors) {
+    timed_sources_.push_back(dynamic_cast<const TimedSource*>(actor.get()));
+    if (cost_model_ != nullptr) {
+      costs_.push_back(cost_model_->ParamsFor(actor->name()));
+    }
+  }
+  halted_ = std::vector<std::atomic<bool>>(actors.size());
+}
+
 Status Director::Wrapup() {
   if (workflow_ == nullptr) {
     return Status::OK();
@@ -117,9 +134,7 @@ Status Director::BuildReceivers() {
         workflow_->FindActor(ch.from->actor()->name()) == ch.from->actor(),
         "channel out of " << ch.from->FullName()
                           << " leaves an actor outside this workflow");
-    std::unique_ptr<Receiver> receiver = CreateReceiver(ch.to);
-    Receiver* raw = ch.to->SetReceiver(ch.to_channel, std::move(receiver));
-    raw->set_owner(this);
+    Receiver* raw = InstallReceiver(ch.to, ch.to_channel);
     raw->set_probe(
         telemetry_.CreateReceiverProbe(ch.to->FullName(), ch.to_channel));
     // Analysis→runtime feedback edge: pre-size the queue to the planner's
@@ -137,18 +152,23 @@ Status Director::BuildReceivers() {
   return Status::OK();
 }
 
+Receiver* Director::InstallReceiver(InputPort* port, size_t channel) {
+  Receiver* receiver = port->SetReceiver(channel, CreateReceiver(port));
+  receiver->set_owner(this);
+  if (port->spec().HasFormationDeadline()) {
+    deadline_receivers_.push_back(receiver);
+  }
+  return receiver;
+}
+
 Status Director::FlushActorOutputs(Actor* actor, size_t* emitted) {
 #ifdef CWF_OBS_ENABLED
-  static const obs::ProfileSite* alloc_site = obs::Profiler::Global().Site(
-      "<director>", obs::ProfilePhase::kAllocation);
   static const obs::ProfileSite* open_site =
       obs::Profiler::Global().Site("<director>", obs::ProfilePhase::kWaveOpen);
 #endif
-  std::vector<PendingOutput> outputs;
-  {
-    CWF_PROFILE_SCOPE(alloc_site);
-    outputs = actor->TakePendingOutputs();
-  }
+  // Stamped and broadcast in place; the buffer keeps its capacity for the
+  // actor's next firing.
+  std::vector<PendingOutput>& outputs = actor->pending_outputs();
   if (emitted != nullptr) {
     *emitted = outputs.size();
   }
@@ -206,6 +226,7 @@ Status Director::FlushActorOutputs(Actor* actor, size_t* emitted) {
     telemetry_.RecordEmit(event, po.port->remote_receivers().size(),
                           clock_->Now());
   }
+  outputs.clear();
   return Status::OK();
 }
 
@@ -262,20 +283,13 @@ Duration Director::ChargeFiring(const Actor* actor, size_t consumed,
   if (!clock_->is_virtual()) {
     return clock_->Now() - fire_start;
   }
-  return cost_model_ == nullptr
-             ? 0
-             : cost_model_->FiringCost(actor->name(), consumed, emitted);
+  return costs_.empty() ? 0 : costs_[SlotOf(actor)].Cost(consumed, emitted);
 }
 
 void Director::FireReceiverTimeouts(Timestamp now) {
-  for (const auto& actor : workflow_->actors()) {
-    for (const auto& port : actor->input_ports()) {
-      for (size_t c = 0; c < port->ChannelCount(); ++c) {
-        Receiver* r = port->receiver(c);
-        if (r != nullptr && r->NextDeadline() <= now) {
-          r->OnTimeout(now);
-        }
-      }
+  for (Receiver* r : deadline_receivers_) {
+    if (r->NextDeadline() <= now) {
+      r->OnTimeout(now);
     }
   }
 }
@@ -285,25 +299,15 @@ Timestamp Director::NextWakeup() const {
   if (workflow_ == nullptr) {
     return next;
   }
-  for (const auto& actor : workflow_->actors()) {
-    if (const auto* src = dynamic_cast<const TimedSource*>(actor.get())) {
-      const Timestamp arrival = src->NextPendingArrival();
-      if (arrival < next) {
-        next = arrival;
-      }
+  const auto& actors = workflow_->actors();
+  for (size_t slot = 0; slot < actors.size(); ++slot) {
+    if (const TimedSource* src = timed_sources_[slot]) {
+      next = std::min(next, src->NextPendingArrival());
     }
-    const Timestamp own = actor->NextDeadline();
-    if (own < next) {
-      next = own;
-    }
-    for (const auto& port : actor->input_ports()) {
-      for (size_t c = 0; c < port->ChannelCount(); ++c) {
-        const Receiver* r = port->receiver(c);
-        if (r != nullptr && r->NextDeadline() < next) {
-          next = r->NextDeadline();
-        }
-      }
-    }
+    next = std::min(next, actors[slot]->NextDeadline());
+  }
+  for (const Receiver* r : deadline_receivers_) {
+    next = std::min(next, r->NextDeadline());
   }
   return next;
 }

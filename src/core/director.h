@@ -11,10 +11,9 @@
 
 #include <atomic>
 #include <memory>
-#include <set>
 #include <string>
+#include <vector>
 
-#include "common/lock_registry.h"
 #include "common/status.h"
 #include "core/clock.h"
 #include "core/cost_model.h"
@@ -23,6 +22,8 @@
 #include "obs/telemetry.h"
 
 namespace cwf {
+
+class TimedSource;
 
 namespace analysis {
 struct CapacityPlan;
@@ -69,6 +70,15 @@ class Director {
   /// consuming end of a channel into `port`.
   virtual std::unique_ptr<Receiver> CreateReceiver(InputPort* port) = 0;
 
+  /// \brief Create this director's receiver for `channel` of `port`, install
+  /// it on the port and mark it as owned by this director. A receiver whose
+  /// spec can hold a formation deadline (WindowSpec::HasFormationDeadline)
+  /// joins the deadline list the timeout sweeps and NextWakeup() walk. Every
+  /// receiver a director drives is installed here: BuildReceivers() for the
+  /// workflow's channels, CompositeActor::Initialize for boundary inputs
+  /// (created after the inner director's Initialize returned).
+  Receiver* InstallReceiver(InputPort* port, size_t channel);
+
   /// \brief Stamp and broadcast the outputs an actor buffered during its
   /// firing (timekeeper role; see class comment). `emitted` reports how many
   /// events were sent.
@@ -85,11 +95,12 @@ class Director {
   /// before Initialize().
   void AdoptContext(ExecutionContext* ctx) { ctx_ = ctx; }
 
-  /// \brief Whether actor halted itself (postfire returned false).
-  /// Thread-safe: PNCWF actor threads consult it concurrently.
-  bool IsHalted(const Actor* actor) const CWF_EXCLUDES(halted_mutex_) {
-    ScopedLock lock(halted_mutex_);
-    return halted_.count(actor) > 0;
+  /// \brief Whether actor halted itself (postfire returned false) since the
+  /// last Initialize(). One atomic flag per slot, so PNCWF actor threads
+  /// read it concurrently without a lock. `actor` must belong to the bound
+  /// workflow (CWF_CHECK).
+  bool IsHalted(const Actor* actor) const {
+    return halted_[SlotOf(actor)].load(std::memory_order_acquire);
   }
 
   /// \brief Install a static capacity plan (analysis/capacity_planner.h) to
@@ -144,22 +155,40 @@ class Director {
   Result<FiringOutcome> FireOnce(Actor* actor);
 
   /// \brief Engine-time cost of one firing that began at `fire_start`,
-  /// charged between fire and postfire. The base returns the cost model's
-  /// figure on a virtual clock without moving it (an inner composite
-  /// director runs inside its parent's firing) and the elapsed engine time
-  /// on a real clock. Directors that own the timeline override this to add
-  /// their dispatch overhead and advance the clock.
+  /// charged between fire and postfire. The base returns the modeled cost
+  /// (the actor's CostParams, resolved at Initialize) on a virtual clock
+  /// without moving it (an inner composite director runs inside its
+  /// parent's firing) and the elapsed engine time on a real clock.
+  /// Directors that own the timeline override this to add their dispatch
+  /// overhead and advance the clock.
   virtual Duration ChargeFiring(const Actor* actor, size_t consumed,
                                 size_t emitted, Timestamp fire_start);
 
   /// \brief Close every timed window whose formation deadline passed, on
-  /// every input receiver of the workflow.
+  /// every deadline receiver (InstallReceiver), in installation order.
   void FireReceiverTimeouts(Timestamp now);
 
   /// \brief Create a receiver for every channel and register it with both
   /// ends; called from Initialize(). With a capacity plan installed, planned
   /// channels are bounded to their per-channel capacity.
   Status BuildReceivers();
+
+  /// \brief `actor`'s index in the bound workflow. CWF_CHECK-fails for an
+  /// actor of any other workflow: every per-actor table is indexed by it.
+  size_t SlotOf(const Actor* actor) const {
+    const size_t slot = actor->slot();
+    CWF_CHECK_MSG(workflow_ != nullptr && slot < workflow_->actors().size() &&
+                      workflow_->actors()[slot].get() == actor,
+                  "actor '" << actor->name() << "' is not part of workflow "
+                            << (workflow_ == nullptr ? std::string("<none>")
+                                                     : workflow_->name()));
+    return slot;
+  }
+
+  /// \brief `actor` as a TimedSource (resolved at Initialize), or nullptr.
+  const TimedSource* TimedSourceOf(const Actor* actor) const {
+    return timed_sources_[SlotOf(actor)];
+  }
 
   /// \brief Overflow policy applied to plan-bounded receivers. The default
   /// keeps capacity advisory (bound + high-water mark only); the PNCWF
@@ -176,16 +205,10 @@ class Director {
     (void)event;
   }
 
-  /// Thread-safe (see IsHalted).
-  void MarkHalted(const Actor* actor) CWF_EXCLUDES(halted_mutex_) {
-    ScopedLock lock(halted_mutex_);
-    halted_.insert(actor);
-  }
-
-  /// \brief Drop every halted mark (Initialize re-entry).
-  void ClearHalted() CWF_EXCLUDES(halted_mutex_) {
-    ScopedLock lock(halted_mutex_);
-    halted_.clear();
+  /// \brief Set `actor`'s halted flag (FireOnce, when postfire returns
+  /// false). Lock-free like IsHalted; Initialize() clears every flag.
+  void MarkHalted(const Actor* actor) {
+    halted_[SlotOf(actor)].store(true, std::memory_order_release);
   }
 
   obs::WorkflowTelemetry telemetry_;
@@ -208,10 +231,21 @@ class Director {
   std::string installed_plan_liveness_;
 
  private:
-  /// Serializes the halted set: in OS-thread PNCWF, actor threads mark and
-  /// poll halt states concurrently with the drain loop.
-  mutable OrderedMutex halted_mutex_{"Director::halted_mutex"};
-  std::set<const Actor*> halted_ CWF_GUARDED_BY(halted_mutex_);
+  /// Resolve the per-slot tables below for the bound workflow.
+  void ResolveActorTables();
+
+  // ---- Dispatch tables, rebuilt by every Initialize and indexed by slot ----
+
+  /// dynamic_cast<const TimedSource*> of each actor (nullptr: not one).
+  std::vector<const TimedSource*> timed_sources_;
+  /// CostParams of each actor (empty without a cost model).
+  std::vector<CostParams> costs_;
+  /// Halted flag of each actor; atomics because OS-thread PNCWF actor
+  /// threads set and read them concurrently with the drain loop.
+  std::vector<std::atomic<bool>> halted_;
+  /// Receivers that can hold a formation deadline, in installation order
+  /// (channel order, then composite boundary inputs); see InstallReceiver.
+  std::vector<Receiver*> deadline_receivers_;
 };
 
 }  // namespace cwf

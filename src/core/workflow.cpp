@@ -17,6 +17,9 @@ Actor* Workflow::AdoptActor(std::unique_ptr<Actor> actor) {
   CWF_CHECK_MSG(FindActor(actor->name()) == nullptr,
                 "duplicate actor name '" << actor->name() << "' in workflow "
                                          << name_);
+  CWF_CHECK_MSG(actor->slot_ == Actor::kNoSlot,
+                "actor '" << actor->name() << "' already has a workflow");
+  actor->slot_ = actors_.size();
   actors_.push_back(std::move(actor));
   return actors_.back().get();
 }

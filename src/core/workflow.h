@@ -46,7 +46,8 @@ class Workflow {
     return raw;
   }
 
-  /// \brief Take ownership of a pre-built actor.
+  /// \brief Take ownership of a pre-built actor and give it the next slot
+  /// (Actor::slot(): its index in actors()).
   Actor* AdoptActor(std::unique_ptr<Actor> actor);
 
   /// \brief Wire `from` to the next free channel slot of `to`.

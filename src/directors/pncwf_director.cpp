@@ -530,7 +530,7 @@ void PNCWFDirector::ActorThreadBody(Actor* actor)
 
 void PNCWFDirector::SourceThreadBody(Actor* actor) {
   ActorSync* sync = syncs_.at(actor).get();
-  const auto* src = dynamic_cast<const TimedSource*>(actor);
+  const TimedSource* src = TimedSourceOf(actor);
   for (;;) {
     if (stop_.load()) {
       return;
@@ -655,7 +655,7 @@ bool PNCWFDirector::AllQuiescent() const {
     return false;
   }
   for (const auto& actor : workflow_->actors()) {
-    if (const auto* src = dynamic_cast<const TimedSource*>(actor.get())) {
+    if (const TimedSource* src = TimedSourceOf(actor.get())) {
       if (!src->Exhausted()) {
         return false;
       }

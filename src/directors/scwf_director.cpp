@@ -16,7 +16,6 @@ Status SCWFDirector::Initialize(Workflow* workflow, Clock* clock,
     return Status::InvalidArgument(
         "virtual-clock execution requires a cost model");
   }
-  all_receivers_.clear();
   director_iterations_ = 0;
   CWF_RETURN_NOT_OK(Director::Initialize(workflow, clock, cost_model));
   // Fresh statistics per initialization (stale cost/selectivity figures
@@ -24,23 +23,20 @@ Status SCWFDirector::Initialize(Workflow* workflow, Clock* clock,
   // observer of the shared telemetry hook points.
   stats_.Initialize(*workflow);
   telemetry_.AddObserver(&stats_);
-  std::vector<Actor*> actors;
-  actors.reserve(workflow->actors().size());
-  for (const auto& actor : workflow->actors()) {
-    actors.push_back(actor.get());
-  }
-  CWF_RETURN_NOT_OK(scheduler_->Initialize(this, actors));
+  CWF_RETURN_NOT_OK(scheduler_->Initialize(this, *workflow));
   return Status::OK();
 }
 
 std::unique_ptr<Receiver> SCWFDirector::CreateReceiver(InputPort* port) {
-  auto receiver = std::make_unique<TMWindowedReceiver>(
-      port, port->spec(),
-      [this](TMWindowedReceiver* r, Window w) {
+  if (initialized_) {
+    // A composite's boundary input, installed after Initialize: the
+    // scheduler registered its actor as a source (no channel fed it then).
+    scheduler_->OnInputAttached(port->actor());
+  }
+  return std::make_unique<TMWindowedReceiver>(
+      port, port->spec(), [this](TMWindowedReceiver* r, Window w) {
         OnWindowReady(r, std::move(w));
       });
-  all_receivers_.push_back(receiver.get());
-  return receiver;
 }
 
 void SCWFDirector::OnWindowReady(TMWindowedReceiver* receiver, Window window) {
@@ -51,7 +47,7 @@ void SCWFDirector::OnWindowReady(TMWindowedReceiver* receiver, Window window) {
 }
 
 bool SCWFDirector::SourceHasData(const Actor* actor) const {
-  if (const auto* src = dynamic_cast<const TimedSource*>(actor)) {
+  if (const TimedSource* src = TimedSourceOf(actor)) {
     return src->NextPendingArrival() <= clock_->Now();
   }
   // Non-stream sources (generators with no timing) are always ready unless
@@ -60,15 +56,12 @@ bool SCWFDirector::SourceHasData(const Actor* actor) const {
 }
 
 Status SCWFDirector::FireTimeouts(Timestamp now) {
-  for (Receiver* r : all_receivers_) {
-    if (r->NextDeadline() <= now) {
-      r->OnTimeout(now);  // produced windows flow through OnWindowReady
-    }
-  }
+  // Produced windows flow through OnWindowReady.
+  FireReceiverTimeouts(now);
   // Composites holding expired inner deadlines must run even with no queued
   // window; dispatch them directly.
   for (const auto& actor : workflow_->actors()) {
-    if (!IsHalted(actor.get()) && actor->NextDeadline() <= now) {
+    if (actor->NextDeadline() <= now && !IsHalted(actor.get())) {
       CWF_RETURN_NOT_OK(DispatchActor(actor.get()));
     }
   }

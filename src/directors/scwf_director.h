@@ -20,7 +20,6 @@
 #define CONFLUENCE_DIRECTORS_SCWF_DIRECTOR_H_
 
 #include <memory>
-#include <vector>
 
 #include "core/director.h"
 #include "stafilos/abstract_scheduler.h"
@@ -83,7 +82,6 @@ class SCWFDirector : public Director, public SchedulerHost {
 
   std::unique_ptr<AbstractScheduler> scheduler_;
   ActorStatistics stats_;
-  std::vector<Receiver*> all_receivers_;
   uint64_t director_iterations_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "obs/telemetry.h"
 
+#include <map>
+
 #include "core/actor.h"
 #include "core/workflow.h"
 
@@ -62,6 +64,7 @@ void WorkflowTelemetry::Bind(const Workflow& workflow,
   for (const auto& actor : workflow.actors()) {
     const std::string& name = actor->name();
     ActorInstruments ai;
+    ai.actor = actor.get();
     ai.firings = reg.GetCounter("cwf_actor_firings_total", "actor", name);
     ai.cost_us = reg.GetHistogram("cwf_actor_cost_us", "actor", name);
     ai.consumed =
@@ -79,7 +82,7 @@ void WorkflowTelemetry::Bind(const Workflow& workflow,
     ai.profile.prefire = profiler.Site(name, ProfilePhase::kPrefire);
     ai.profile.fire = profiler.Site(name, ProfilePhase::kFire);
     ai.profile.postfire = profiler.Site(name, ProfilePhase::kPostfire);
-    actors_.emplace(actor.get(), ai);
+    actors_.push_back(ai);
   }
 #else
   (void)workflow;
@@ -136,8 +139,14 @@ const ReceiverProbe* WorkflowTelemetry::CreateReceiverProbe(
 
 const WorkflowTelemetry::ActorInstruments* WorkflowTelemetry::Find(
     const Actor* actor) const {
-  auto it = actors_.find(actor);
-  return it == actors_.end() ? nullptr : &it->second;
+  if (actors_.empty()) {
+    return nullptr;
+  }
+  const size_t slot = actor->slot();
+  CWF_CHECK_MSG(slot < actors_.size() && actors_[slot].actor == actor,
+                "telemetry for actor '" << actor->name()
+                                        << "' outside the bound workflow");
+  return &actors_[slot];
 }
 
 uint32_t WorkflowTelemetry::TrackFor(const Actor* actor) const {

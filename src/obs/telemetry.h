@@ -5,8 +5,8 @@
 // Design rules:
 //  * Instruments are resolved ONCE, at Director::Initialize (Bind /
 //    CreateReceiverProbe). The hot-path hooks touch nothing but relaxed
-//    atomics and one read-only map lookup — the registry lock is never
-//    taken while the workflow runs.
+//    atomics and one read-only table indexed by Actor::slot() — the
+//    registry lock is never taken while the workflow runs.
 //  * Observer fan-out ALWAYS fires: STAFiLOS schedulers need
 //    ActorStatistics regardless of whether metrics are being collected.
 //    Only the metric/tracer sinks are gated — at compile time by
@@ -19,7 +19,6 @@
 #define CONFLUENCE_OBS_TELEMETRY_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -112,10 +111,11 @@ class WorkflowTelemetry {
   WorkflowTelemetry& operator=(const WorkflowTelemetry&) = delete;
 
   /// \brief Resolve per-actor instruments against the global registry and
-  /// register trace tracks for every actor of `workflow`. Clears the
-  /// observer list (Initialize re-entry starts from a clean slate; the
-  /// SCWF director re-adds its statistics module afterwards). No-op when
-  /// telemetry is compiled out.
+  /// register trace tracks for every actor of `workflow`, in a table
+  /// indexed by Actor::slot(); once bound, a hook for an actor of any other
+  /// workflow CWF_CHECK-fails. Clears the observer list (Initialize
+  /// re-entry starts from a clean slate; the SCWF director re-adds its
+  /// statistics module afterwards). No-op when telemetry is compiled out.
   void Bind(const Workflow& workflow, const char* director_kind);
 
   /// \brief Register an execution-event consumer (not owned).
@@ -179,6 +179,7 @@ class WorkflowTelemetry {
  private:
   /// Instrument handles of one actor, resolved at Bind.
   struct ActorInstruments {
+    const Actor* actor = nullptr;  ///< owner of this slot
     Counter* firings = nullptr;
     Histogram* cost_us = nullptr;
     Counter* consumed = nullptr;
@@ -190,11 +191,13 @@ class WorkflowTelemetry {
     ActorProfileSites profile;  ///< host-profiler cells (obs/profile.h)
   };
 
+  /// `actor`'s instruments; nullptr while unbound (or compiled out).
   const ActorInstruments* Find(const Actor* actor) const;
 
   std::vector<ExecutionObserver*> observers_;
-  /// Read-only after Bind (PNCWF actor threads look up concurrently).
-  std::map<const Actor*, ActorInstruments> actors_;
+  /// Indexed by Actor::slot(). Read-only after Bind (PNCWF actor threads
+  /// look up concurrently).
+  std::vector<ActorInstruments> actors_;
   Counter* events_emitted_ = nullptr;      ///< cwf_events_emitted_total
   Histogram* ready_queue_events_ = nullptr;  ///< cwf_sched_ready_events
 };

@@ -8,7 +8,7 @@ namespace {
 /// Min-heap comparator over (key_ts, key_seq): std::push_heap builds a
 /// max-heap, so invert.
 struct HeapCmp {
-  bool operator()(const ReadyWindow& a, const ReadyWindow& b) const {
+  bool operator()(const QueuedWindow& a, const QueuedWindow& b) const {
     if (a.key_ts != b.key_ts) {
       return a.key_ts > b.key_ts;
     }
@@ -31,19 +31,22 @@ const char* ActorStateName(ActorState state) {
 }
 
 Status AbstractScheduler::Initialize(SchedulerHost* host,
-                                     const std::vector<Actor*>& actors) {
+                                     const Workflow& workflow) {
   if (host == nullptr) {
     return Status::InvalidArgument("scheduler needs a host");
   }
   host_ = host;
   entries_.clear();
+  store_.clear();
+  free_slots_.clear();
   iterations_ = 0;
   internal_firings_since_source_ = 0;
   ready_counter_ = 0;
   source_rr_cursor_ = 0;
   queued_events_ = 0;
-  entries_.reserve(actors.size());
-  for (Actor* actor : actors) {
+  entries_.reserve(workflow.actors().size());
+  for (const auto& owned : workflow.actors()) {
+    Actor* actor = owned.get();
     Entry entry;
     entry.actor = actor;
     entry.is_source = actor->IsSource();
@@ -61,22 +64,29 @@ Status AbstractScheduler::Initialize(SchedulerHost* host,
 }
 
 AbstractScheduler::Entry* AbstractScheduler::Find(const Actor* actor) {
-  for (Entry& entry : entries_) {
-    if (entry.actor == actor) {
-      return &entry;
-    }
-  }
-  return nullptr;
+  const size_t slot = actor->slot();
+  return slot < entries_.size() && entries_[slot].actor == actor
+             ? &entries_[slot]
+             : nullptr;
 }
 
 const AbstractScheduler::Entry* AbstractScheduler::Find(
     const Actor* actor) const {
-  for (const Entry& entry : entries_) {
-    if (entry.actor == actor) {
-      return &entry;
-    }
+  const size_t slot = actor->slot();
+  return slot < entries_.size() && entries_[slot].actor == actor
+             ? &entries_[slot]
+             : nullptr;
+}
+
+uint32_t AbstractScheduler::Store(ReadyWindow window) {
+  if (free_slots_.empty()) {
+    store_.push_back(std::move(window));
+    return static_cast<uint32_t>(store_.size() - 1);
   }
-  return nullptr;
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  store_[slot] = std::move(window);
+  return slot;
 }
 
 void AbstractScheduler::SetState(Entry* entry, ActorState state) {
@@ -117,10 +127,12 @@ void AbstractScheduler::Enqueue(Actor* target, ReadyWindow window) {
   host_->NotifyEventsArrived(target, window.window.events.size(),
                              window.enqueued_at);
   queued_events_ += window.window.events.size();
+  const QueuedWindow handle{window.key_ts, window.key_seq,
+                            Store(std::move(window))};
   if (BufferToNextPeriod()) {
-    entry->period_buffer.push_back(std::move(window));
+    entry->period_buffer.push_back(handle);
   } else {
-    entry->queue.push_back(std::move(window));
+    entry->queue.push_back(handle);
     std::push_heap(entry->queue.begin(), entry->queue.end(), HeapCmp());
   }
   RecomputeState(entry);
@@ -132,9 +144,11 @@ std::optional<ReadyWindow> AbstractScheduler::PopWindow(Actor* actor) {
     return std::nullopt;
   }
   std::pop_heap(entry->queue.begin(), entry->queue.end(), HeapCmp());
-  ReadyWindow out = std::move(entry->queue.back());
+  const uint32_t slot = entry->queue.back().store_slot;
   entry->queue.pop_back();
-  queued_events_ -= std::min(queued_events_, out.window.events.size());
+  std::optional<ReadyWindow> out(std::move(store_[slot]));
+  free_slots_.push_back(slot);
+  queued_events_ -= std::min(queued_events_, out->window.events.size());
   return out;
 }
 
@@ -179,8 +193,8 @@ void AbstractScheduler::OnIterationEnd() {
   for (Entry& entry : entries_) {
     entry.fired_this_iteration = false;
     if (BufferToNextPeriod() && !entry.period_buffer.empty()) {
-      for (ReadyWindow& w : entry.period_buffer) {
-        entry.queue.push_back(std::move(w));
+      for (const QueuedWindow& w : entry.period_buffer) {
+        entry.queue.push_back(w);
         std::push_heap(entry.queue.begin(), entry.queue.end(), HeapCmp());
       }
       entry.period_buffer.clear();
@@ -189,9 +203,18 @@ void AbstractScheduler::OnIterationEnd() {
   RecomputeAllStates();
 }
 
+void AbstractScheduler::OnInputAttached(const Actor* actor) {
+  Entry* entry = Find(actor);
+  CWF_CHECK_MSG(entry != nullptr,
+                "OnInputAttached for unregistered actor " << actor->name());
+  entry->is_source = false;
+  RecomputeState(entry);
+}
+
 void AbstractScheduler::OnActorFired(Actor* actor, Duration cost, bool fired) {
   Entry* entry = Find(actor);
-  CWF_CHECK(entry != nullptr);
+  CWF_CHECK_MSG(entry != nullptr,
+                "OnActorFired for unregistered actor " << actor->name());
   entry->fired_this_iteration = true;
   if (fired) {
     ++entry->firings;

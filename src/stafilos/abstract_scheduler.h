@@ -24,7 +24,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/actor.h"
+#include "core/workflow.h"
 #include "stafilos/statistics.h"
 #include "window/tm_windowed_receiver.h"
 
@@ -48,6 +48,15 @@ struct ReadyWindow {
   /// Sort keys (oldest event timestamp; tie-broken by event sequence).
   Timestamp key_ts;
   uint64_t key_seq = 0;
+};
+
+/// \brief What a per-actor scheduler queue sorts: a queued window's sort
+/// keys plus the index of the window itself in the scheduler's window
+/// store. Heap sifts move these 24 bytes, never the window.
+struct QueuedWindow {
+  Timestamp key_ts;
+  uint64_t key_seq = 0;
+  uint32_t store_slot = 0;
 };
 
 /// \brief Overload protection (the load-shedding integration point the
@@ -93,15 +102,16 @@ class AbstractScheduler {
 
   // ---- Framework wiring (driven by the SCWF director) ----
 
-  /// \brief Register the workflow's actors and bind the host services.
-  virtual Status Initialize(SchedulerHost* host,
-                            const std::vector<Actor*>& actors);
+  /// \brief Register the workflow's actors (one entry per Actor::slot())
+  /// and bind the host services.
+  virtual Status Initialize(SchedulerHost* host, const Workflow& workflow);
 
   /// \brief A produced window became ready for `target`; queue it (or, for
   /// period-buffered policies, hold it for the next period).
   void Enqueue(Actor* target, ReadyWindow window);
 
-  /// \brief Pop the timestamp-earliest queued window of `actor`.
+  /// \brief Pop the timestamp-earliest queued window of `actor` (nullopt
+  /// when none is queued or the actor is not registered).
   std::optional<ReadyWindow> PopWindow(Actor* actor);
 
   /// \brief The scheduling decision: next actor to fire, or nullptr to end
@@ -117,6 +127,11 @@ class AbstractScheduler {
   /// and recompute every actor's state. Policies typically extend this with
   /// re-quantification / priority refresh *before* delegating to the base.
   virtual void OnIterationEnd();
+
+  /// \brief Director signals: a channel into `actor` was attached after
+  /// Initialize (a composite's boundary input), so it is no longer a
+  /// source.
+  void OnInputAttached(const Actor* actor);
 
   /// \brief Director signals: `actor` completed a firing attempt. `fired`
   /// is false when prefire() rejected (no cost was incurred).
@@ -161,10 +176,11 @@ class AbstractScheduler {
     Actor* actor = nullptr;
     bool is_source = false;
     ActorState state = ActorState::kInactive;
-    /// Timestamp-sorted min-heap of windows awaiting delivery.
-    std::vector<ReadyWindow> queue;
+    /// Timestamp-sorted min-heap of windows awaiting delivery (front() is
+    /// the earliest).
+    std::vector<QueuedWindow> queue;
     /// Next-period holding buffer (Rate-Based policy).
-    std::vector<ReadyWindow> period_buffer;
+    std::vector<QueuedWindow> period_buffer;
     /// Remaining quantum in microseconds (quantum policies).
     double quantum = 0;
     /// Designer-assigned priority (QBS; Linux-style, smaller = higher).
@@ -202,6 +218,8 @@ class AbstractScheduler {
 
   // ---- Shared machinery ----
 
+  /// \brief The entry of `actor` (entries_[actor->slot()]), or nullptr when
+  /// the actor is not registered. O(1).
   Entry* Find(const Actor* actor);
   const Entry* Find(const Actor* actor) const;
 
@@ -219,6 +237,7 @@ class AbstractScheduler {
   /// disables the mechanism.
   int source_interval_ = 0;
 
+  /// One entry per workflow actor, indexed by Actor::slot().
   std::vector<Entry> entries_;
   SchedulerHost* host_ = nullptr;
   std::map<std::string, int> designer_priorities_;
@@ -230,6 +249,16 @@ class AbstractScheduler {
   LoadSheddingOptions shedding_;
   uint64_t shed_windows_ = 0;
   uint64_t shed_events_ = 0;
+
+ private:
+  /// Park `window` in the store (reusing a free slot); returns its slot.
+  uint32_t Store(ReadyWindow window);
+
+  /// Windows referenced by the QueuedWindow handles of every queue and
+  /// period buffer. A popped slot is moved out (so it keeps no record
+  /// alive) and goes on free_slots_ for reuse.
+  std::vector<ReadyWindow> store_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace cwf

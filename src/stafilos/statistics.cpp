@@ -25,17 +25,21 @@ void UpdateRate(double* rate, Timestamp* last, size_t n, Timestamp now,
 
 void ActorStatistics::Initialize(const Workflow& workflow) {
   workflow_ = &workflow;
-  stats_.clear();
-  global_.clear();
-  for (const auto& actor : workflow.actors()) {
-    stats_[actor.get()] = ActorStats();
-  }
+  stats_.assign(workflow.actors().size(), ActorStats());
+  global_.assign(workflow.actors().size(), Global());
+}
+
+size_t ActorStatistics::SlotOf(const Actor* actor) const {
+  CWF_CHECK_MSG(workflow_ != nullptr && Registered(actor),
+                "statistics for actor '" << actor->name()
+                                         << "' outside the registered workflow");
+  return actor->slot();
 }
 
 void ActorStatistics::OnFiring(const Actor* actor, Duration cost,
                                size_t consumed, size_t produced,
                                Timestamp now) {
-  ActorStats& s = stats_[actor];
+  ActorStats& s = stats_[SlotOf(actor)];
   ++s.invocations;
   s.total_cost += cost;
   s.ewma_cost = s.invocations == 1
@@ -51,37 +55,36 @@ void ActorStatistics::OnFiring(const Actor* actor, Duration cost,
 
 void ActorStatistics::OnEventsArrived(const Actor* actor, size_t n,
                                       Timestamp now) {
-  ActorStats& s = stats_[actor];
+  ActorStats& s = stats_[SlotOf(actor)];
   s.events_arrived += n;
   UpdateRate(&s.input_rate, &s.last_arrival, n, now, alpha_);
 }
 
 const ActorStats& ActorStatistics::Get(const Actor* actor) const {
-  auto it = stats_.find(actor);
-  return it == stats_.end() ? empty_ : it->second;
+  return workflow_ != nullptr && Registered(actor) ? stats_[actor->slot()]
+                                                   : empty_;
 }
 
 ActorStatistics::Global ActorStatistics::ComputeGlobal(
-    const Actor* actor, std::map<const Actor*, int>* visiting) {
-  auto done = global_.find(actor);
-  if (done != global_.end()) {
-    return done->second;
+    const Actor* actor, std::vector<Visit>* visits) {
+  const size_t slot = SlotOf(actor);
+  Visit& mark = (*visits)[slot];
+  if (mark == Visit::kDone) {
+    return global_[slot];
   }
-  int& mark = (*visiting)[actor];
-  if (mark == 1) {
+  const ActorStats& s = stats_[slot];
+  if (mark == Visit::kVisiting) {
     // Cycle: cut off conservatively with local metrics only.
-    return Global{Get(actor).Selectivity(),
-                  std::max(1.0, Get(actor).AvgCostPerEvent())};
+    return Global{s.Selectivity(), std::max(1.0, s.AvgCostPerEvent())};
   }
-  mark = 1;
-  const ActorStats& s = stats_[actor];
+  mark = Visit::kVisiting;
   const double local_sel = s.Selectivity();
   const double local_cost = std::max(1.0, s.AvgCostPerEvent());
   double down_sel = 0;
   double down_cost = 0;
   const std::vector<Actor*> downstream = workflow_->DownstreamOf(actor);
   for (const Actor* d : downstream) {
-    const Global g = ComputeGlobal(d, visiting);
+    const Global g = ComputeGlobal(d, visits);
     down_sel += g.selectivity;
     down_cost += g.cost;
   }
@@ -97,28 +100,25 @@ ActorStatistics::Global ActorStatistics::ComputeGlobal(
     out.selectivity = local_sel * down_sel;
     out.cost = local_cost + local_sel * down_cost;
   }
-  mark = 2;
-  global_[actor] = out;
+  (*visits)[slot] = Visit::kDone;
+  global_[slot] = out;
   return out;
 }
 
 void ActorStatistics::RecomputeGlobal() {
   CWF_CHECK_MSG(workflow_ != nullptr, "ActorStatistics not initialized");
-  global_.clear();
-  std::map<const Actor*, int> visiting;
+  std::vector<Visit> visits(stats_.size(), Visit::kUnvisited);
   for (const auto& actor : workflow_->actors()) {
-    ComputeGlobal(actor.get(), &visiting);
+    ComputeGlobal(actor.get(), &visits);
   }
 }
 
 double ActorStatistics::GlobalSelectivity(const Actor* actor) const {
-  auto it = global_.find(actor);
-  return it == global_.end() ? 1.0 : it->second.selectivity;
+  return global_[SlotOf(actor)].selectivity;
 }
 
 double ActorStatistics::GlobalCost(const Actor* actor) const {
-  auto it = global_.find(actor);
-  return it == global_.end() ? 1.0 : it->second.cost;
+  return global_[SlotOf(actor)].cost;
 }
 
 double ActorStatistics::RatePriority(const Actor* actor) const {

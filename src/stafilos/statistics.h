@@ -16,7 +16,8 @@
 #ifndef CONFLUENCE_STAFILOS_STATISTICS_H_
 #define CONFLUENCE_STAFILOS_STATISTICS_H_
 
-#include <map>
+#include <cstdint>
+#include <vector>
 
 #include "common/time.h"
 #include "core/workflow.h"
@@ -85,7 +86,9 @@ class ActorStatistics : public obs::ExecutionObserver {
   /// \brief EWMA smoothing factor for costs and rates.
   explicit ActorStatistics(double alpha = 0.2) : alpha_(alpha) {}
 
-  /// \brief Register all actors of a workflow (resets prior data).
+  /// \brief Register all actors of a workflow (resets prior data). The
+  /// tables are indexed by Actor::slot(); recording for an actor of any
+  /// other workflow CWF_CHECK-fails.
   void Initialize(const Workflow& workflow);
 
   /// \brief Record a completed firing.
@@ -101,7 +104,7 @@ class ActorStatistics : public obs::ExecutionObserver {
   /// \brief Record `n` events arriving at `actor`'s input queues.
   void OnEventsArrived(const Actor* actor, size_t n, Timestamp now) override;
 
-  /// \brief Stats of one actor (zeroed entry if unknown).
+  /// \brief Stats of one actor (zeroed entry if not registered).
   const ActorStats& Get(const Actor* actor) const;
 
   /// \brief Recompute the downstream-aggregated metrics (call at period
@@ -123,13 +126,25 @@ class ActorStatistics : public obs::ExecutionObserver {
     double cost = 1.0;
   };
 
-  Global ComputeGlobal(const Actor* actor,
-                       std::map<const Actor*, int>* visiting);
+  /// DFS state of one slot during RecomputeGlobal.
+  enum class Visit : uint8_t { kUnvisited, kVisiting, kDone };
+
+  /// Whether `actor` occupies its slot of the registered workflow.
+  bool Registered(const Actor* actor) const {
+    return actor->slot() < stats_.size() &&
+           workflow_->actors()[actor->slot()].get() == actor;
+  }
+
+  /// Registered(actor)'s slot; CWF_CHECK-fails otherwise.
+  size_t SlotOf(const Actor* actor) const;
+
+  Global ComputeGlobal(const Actor* actor, std::vector<Visit>* visits);
 
   double alpha_;
   const Workflow* workflow_ = nullptr;
-  std::map<const Actor*, ActorStats> stats_;
-  std::map<const Actor*, Global> global_;
+  /// Indexed by Actor::slot().
+  std::vector<ActorStats> stats_;
+  std::vector<Global> global_;
   ActorStats empty_;
 };
 

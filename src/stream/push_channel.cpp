@@ -79,6 +79,7 @@ void PushChannel::Push(Token token, Timestamp arrival) {
     ValidateLocked(token);
 #endif
     queue_.push_back({arrival, std::move(token)});
+    PublishFrontLocked();
   }
   cv_.notify_all();
 }
@@ -97,6 +98,7 @@ PushOutcome PushChannel::Offer(Token token, Timestamp arrival) {
     ValidateLocked(token);
 #endif
     queue_.push_back({arrival, std::move(token)});
+    PublishFrontLocked();
   }
   cv_.notify_all();
   return PushOutcome::kAccepted;
@@ -124,6 +126,7 @@ size_t PushChannel::TryPushBatch(std::span<TraceEntry> entries) {
       queue_.push_back({entry.arrival, std::move(entry.token)});
       ++accepted;
     }
+    PublishFrontLocked();
   }
   if (accepted > 0) {
     cv_.notify_all();
@@ -141,6 +144,7 @@ void PushChannel::PushTrace(const Trace& trace) {
 #endif
       queue_.push_back(e);
     }
+    PublishFrontLocked();
   }
   cv_.notify_all();
 }
@@ -190,6 +194,7 @@ std::vector<TraceEntry> PushChannel::PopArrived(Timestamp now,
       queue_.pop_front();
     }
     if (!out.empty()) {
+      PublishFrontLocked();
       signal = TakeSpaceSignalLocked();
     }
   }
@@ -197,11 +202,6 @@ std::vector<TraceEntry> PushChannel::PopArrived(Timestamp now,
     signal();
   }
   return out;
-}
-
-Timestamp PushChannel::NextArrival() const {
-  ScopedLock lock(mutex_);
-  return queue_.empty() ? Timestamp::Max() : queue_.front().arrival;
 }
 
 size_t PushChannel::Pending() const {

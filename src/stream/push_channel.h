@@ -10,6 +10,7 @@
 #ifndef CONFLUENCE_STREAM_PUSH_CHANNEL_H_
 #define CONFLUENCE_STREAM_PUSH_CHANNEL_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -109,8 +110,11 @@ class PushChannel {
   std::vector<TraceEntry> PopArrived(Timestamp now, size_t max_batch = 0);
 
   /// \brief Arrival time of the oldest queued tuple; Timestamp::Max() when
-  /// empty.
-  Timestamp NextArrival() const;
+  /// empty. Lock-free: reads the front arrival every queue mutation
+  /// publishes under the lock.
+  Timestamp NextArrival() const {
+    return front_arrival_.load(std::memory_order_acquire);
+  }
 
   /// \brief Queued tuple count.
   size_t Pending() const;
@@ -138,9 +142,19 @@ class PushChannel {
   /// nullptr. Caller holds mutex_; the returned copy is invoked unlocked.
   std::function<void()> TakeSpaceSignalLocked() CWF_REQUIRES(mutex_);
 
+  /// \brief Publish the queue front's arrival to NextArrival(). Every
+  /// queue mutation calls this before releasing mutex_.
+  void PublishFrontLocked() CWF_REQUIRES(mutex_) {
+    front_arrival_.store(
+        queue_.empty() ? Timestamp::Max() : queue_.front().arrival,
+        std::memory_order_release);
+  }
+
   mutable OrderedMutex mutex_{"PushChannel::mutex"};
   mutable std::condition_variable_any cv_;
   std::deque<TraceEntry> queue_ CWF_GUARDED_BY(mutex_);
+  /// Arrival of queue_.front() (Max when empty); written under mutex_.
+  std::atomic<Timestamp> front_arrival_{Timestamp::Max()};
   bool closed_ CWF_GUARDED_BY(mutex_) = false;
   size_t capacity_ CWF_GUARDED_BY(mutex_) = 0;
   /// A producer was refused with kFull and has not been signaled since.

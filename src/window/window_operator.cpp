@@ -287,8 +287,7 @@ void WindowOperator::CloseTimeWindow(GroupState* g, std::vector<Window>* out) {
 
 void WindowOperator::UpdateDeadline(uint32_t id, GroupState* g) {
   Timestamp deadline = Timestamp::Max();
-  if (spec_.unit == WindowUnit::kTime && spec_.formation_timeout >= 0 &&
-      g->start_set && !g->queue.empty()) {
+  if (spec_.HasFormationDeadline() && g->start_set && !g->queue.empty()) {
     deadline = g->window_start + spec_.size + spec_.formation_timeout;
   }
   if (deadline == g->registered_deadline) {
@@ -378,7 +377,7 @@ Timestamp WindowOperator::NextDeadline() const {
 }
 
 void WindowOperator::OnTimeout(Timestamp now, std::vector<Window>* out) {
-  if (spec_.unit != WindowUnit::kTime || spec_.formation_timeout < 0) {
+  if (!spec_.HasFormationDeadline()) {
     return;
   }
   while (!deadline_index_.empty() && deadline_index_.begin()->first <= now) {

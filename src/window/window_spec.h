@@ -89,6 +89,14 @@ struct WindowSpec {
   /// each event out as its own window without creating a group.
   bool IsTrivial() const;
 
+  /// \brief Whether windows on this spec can ever hold a formation deadline
+  /// (a time window with a non-negative formation_timeout). Receivers on
+  /// any other spec never report a NextDeadline(), so directors leave them
+  /// out of their timeout sweeps.
+  bool HasFormationDeadline() const {
+    return unit == WindowUnit::kTime && formation_timeout >= 0;
+  }
+
   /// \brief Reject non-positive sizes/steps, unit mismatches and empty or
   /// repeated group-by fields.
   Status Validate() const;

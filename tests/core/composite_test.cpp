@@ -170,6 +170,44 @@ TEST(CompositeTest, NextDeadlineSurfacesInnerTimeWindows) {
   EXPECT_EQ(got[0].token.AsInt(), 2);  // both events in the minute window
 }
 
+TEST(CompositeTest, ScwfInnerDirectorClosesBoundaryTimeWindowByDeadline) {
+  // The exposed inner port's receiver is created after the inner SCWF
+  // director's Initialize returned; its formation deadline must still be
+  // swept, or the window never closes (no later event arrives).
+  Workflow wf("outer");
+  auto feed = std::make_shared<PushChannel>();
+  auto* source = wf.AddActor<StreamSourceActor>("src", feed);
+  auto* comp = wf.AddActor<CompositeActor>(
+      "comp", std::make_unique<SCWFDirector>(std::make_unique<FIFOScheduler>()));
+  auto* minute = comp->inner()->AddActor<WindowFnActor>(
+      "per_minute",
+      WindowSpec::Time(Seconds(60), Seconds(60)).FormationTimeout(Seconds(5)),
+      [](const Window& w, std::vector<Token>* out) {
+        out->push_back(Token(static_cast<int64_t>(w.size())));
+        return Status::OK();
+      });
+  comp->ExposeInput("in", minute->in());
+  comp->ExposeOutput("out", minute->out());
+  auto* sink = wf.AddActor<CollectorSink>("sink");
+  ASSERT_TRUE(wf.Connect(source->out(), comp->GetInputPort("in")).ok());
+  ASSERT_TRUE(wf.Connect(comp->GetOutputPort("out"), sink->in()).ok());
+  feed->Push(Token(1), Timestamp::Seconds(10));
+  feed->Push(Token(2), Timestamp::Seconds(20));
+  feed->Push(Token(3), Timestamp::Seconds(30));
+  feed->Close();
+  VirtualClock clock;
+  CostModel cm;
+  SCWFDirector d(std::make_unique<FIFOScheduler>());
+  ASSERT_TRUE(d.Initialize(&wf, &clock, &cm).ok());
+  ASSERT_TRUE(d.Run(Timestamp::Seconds(120)).ok());
+  auto got = sink->TakeSnapshot();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].token.AsInt(), 3);  // all three events in the minute
+  // Closed by its deadline (60 s + 5 s timeout), not by end of input.
+  EXPECT_GE(got[0].completed_at, Timestamp::Seconds(65));
+  EXPECT_LT(got[0].completed_at, Timestamp::Seconds(66));
+}
+
 }  // namespace
 }  // namespace cwf
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "core/clock.h"
 #include "stream/stream_source.h"
@@ -34,6 +36,41 @@ TEST(PushChannelTest, EmptyChannelSentinels) {
   PushChannel ch;
   EXPECT_EQ(ch.NextArrival(), Timestamp::Max());
   EXPECT_TRUE(ch.PopArrived(Timestamp::Max()).empty());
+}
+
+TEST(PushChannelTest, NextArrivalTracksFrontUnderConcurrentPushAndPop) {
+  // NextArrival() reads a front arrival published under the lock. With one
+  // producer appending increasing arrivals and one consumer popping, the
+  // front the consumer observes is exactly what it pops next.
+  constexpr int kTuples = 20000;
+  PushChannel ch;
+  std::thread producer([&ch] {
+    for (int i = 1; i <= kTuples; ++i) {
+      if (i % 3 == 0) {
+        TraceEntry entry{Timestamp(i), Token(i)};
+        ASSERT_EQ(ch.TryPushBatch(std::span<TraceEntry>(&entry, 1)), 1u);
+      } else {
+        ch.Push(Token(i), Timestamp(i));
+      }
+    }
+  });
+  int popped = 0;
+  int64_t last = 0;
+  while (popped < kTuples) {
+    const Timestamp front = ch.NextArrival();
+    if (front == Timestamp::Max()) {
+      std::this_thread::yield();
+      continue;
+    }
+    ASSERT_GT(front.micros(), last);
+    std::vector<TraceEntry> got = ch.PopArrived(front, 1);
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(got[0].arrival, front);
+    last = front.micros();
+    ++popped;
+  }
+  producer.join();
+  EXPECT_EQ(ch.NextArrival(), Timestamp::Max());
 }
 
 TEST(PushChannelTest, CloseSemantics) {
