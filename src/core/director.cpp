@@ -222,9 +222,7 @@ Status Director::FlushActorOutputs(Actor* actor, size_t* emitted) {
       event.last_in_wave = true;
     }
     CWF_RETURN_NOT_OK(po.port->Broadcast(event));
-    OnEventEmitted(actor, po.port, event);
-    telemetry_.RecordEmit(event, po.port->remote_receivers().size(),
-                          clock_->Now());
+    telemetry_.RecordEmit(event, po.port->remote_receivers().size());
   }
   outputs.clear();
   return Status::OK();

@@ -137,10 +137,6 @@ class Director {
   /// scheduler of the multi-workflow framework.
   virtual bool HasPendingWork() const;
 
-  /// \brief This director's telemetry frontend (observers can be added
-  /// after Initialize; instruments rebind on every Initialize).
-  obs::WorkflowTelemetry* telemetry() { return &telemetry_; }
-
   /// \brief Firings completed since the last Initialize(). Thread-safe.
   uint64_t total_firings() const {
     return total_firings_.load(std::memory_order_relaxed);
@@ -195,14 +191,6 @@ class Director {
   /// director overrides this with kBlock to get blocking-put backpressure.
   virtual OverflowPolicy planned_overflow_policy() const {
     return OverflowPolicy::kUnbounded;
-  }
-
-  /// \brief Observation hook: one event was stamped and broadcast.
-  virtual void OnEventEmitted(Actor* producer, OutputPort* port,
-                              const CWEvent& event) {
-    (void)producer;
-    (void)port;
-    (void)event;
   }
 
   /// \brief Set `actor`'s halted flag (FireOnce, when postfire returns

@@ -18,11 +18,6 @@ Status SCWFDirector::Initialize(Workflow* workflow, Clock* clock,
   }
   director_iterations_ = 0;
   CWF_RETURN_NOT_OK(Director::Initialize(workflow, clock, cost_model));
-  // Fresh statistics per initialization (stale cost/selectivity figures
-  // must not steer the scheduler of a relaunched workflow), re-seated as an
-  // observer of the shared telemetry hook points.
-  stats_.Initialize(*workflow);
-  telemetry_.AddObserver(&stats_);
   CWF_RETURN_NOT_OK(scheduler_->Initialize(this, *workflow));
   return Status::OK();
 }
@@ -40,10 +35,14 @@ std::unique_ptr<Receiver> SCWFDirector::CreateReceiver(InputPort* port) {
 }
 
 void SCWFDirector::OnWindowReady(TMWindowedReceiver* receiver, Window window) {
+  Actor* target = receiver->port()->actor();
+  const size_t n = window.events.size();
   ReadyWindow rw;
   rw.receiver = receiver;
   rw.window = std::move(window);
-  scheduler_->Enqueue(receiver->port()->actor(), std::move(rw));
+  if (scheduler_->Enqueue(target, std::move(rw))) {
+    telemetry_.RecordArrival(target, n);
+  }
 }
 
 bool SCWFDirector::SourceHasData(const Actor* actor) const {
@@ -101,7 +100,7 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
   if (can_fire) {
     CWF_ASSIGN_OR_RETURN(outcome, FireOnce(actor));
   }
-  scheduler_->OnActorFired(actor, outcome.cost, can_fire);
+  scheduler_->OnActorFired(actor, outcome, can_fire);
   return Status::OK();
 }
 
@@ -141,11 +140,8 @@ Status SCWFDirector::Run(Timestamp until) {
         next = scheduler_->GetNextActor();
         if (next != nullptr &&
             (obs::MetricsEnabled() || obs::TracingEnabled())) {
-          obs::SchedulerDecision decision;
-          decision.chosen = next;
-          decision.total_queued_events = scheduler_->TotalQueuedEvents();
-          decision.now = clock_->Now();
-          telemetry_.RecordDecision(decision);
+          telemetry_.RecordDecision(next, scheduler_->TotalQueuedEvents(),
+                                    clock_->Now());
         }
       }
       if (next == nullptr) {
@@ -155,7 +151,7 @@ Status SCWFDirector::Run(Timestamp until) {
         // Drop its pending work so the scheduler does not spin on it.
         while (scheduler_->PopWindow(next).has_value()) {
         }
-        scheduler_->OnActorFired(next, 0, false);
+        scheduler_->OnActorFired(next, FiringOutcome{}, false);
         continue;
       }
       CWF_RETURN_NOT_OK(DispatchActor(next));

@@ -49,16 +49,8 @@ class SCWFDirector : public Director, public SchedulerHost {
   // ---- SchedulerHost ----
   Timestamp Now() const override { return clock_->Now(); }
   bool SourceHasData(const Actor* actor) const override;
-  ActorStatistics* statistics() override { return &stats_; }
-  /// Arrival notifications route through telemetry so the statistics module
-  /// (a registered observer) and the metrics layer see the same stream.
-  void NotifyEventsArrived(const Actor* actor, size_t n,
-                           Timestamp now) override {
-    telemetry_.RecordArrival(actor, n, now);
-  }
 
   AbstractScheduler* scheduler() { return scheduler_.get(); }
-  const ActorStatistics& stats() const { return stats_; }
 
   uint64_t director_iterations() const { return director_iterations_; }
 
@@ -69,7 +61,8 @@ class SCWFDirector : public Director, public SchedulerHost {
                         Timestamp fire_start) override;
 
  private:
-  /// Route a produced window into the scheduler (TM receiver callback).
+  /// Route a produced window into the scheduler (TM receiver callback) and
+  /// record its events as arrivals unless the load shedder dropped it.
   void OnWindowReady(TMWindowedReceiver* receiver, Window window);
 
   /// Close timed windows whose formation deadline passed; run actors whose
@@ -81,7 +74,6 @@ class SCWFDirector : public Director, public SchedulerHost {
   Status DispatchActor(Actor* actor);
 
   std::unique_ptr<AbstractScheduler> scheduler_;
-  ActorStatistics stats_;
   uint64_t director_iterations_ = 0;
 };
 

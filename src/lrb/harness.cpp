@@ -1,7 +1,6 @@
 #include "lrb/harness.h"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "directors/pncwf_director.h"
@@ -180,73 +179,6 @@ Result<ExperimentResult> RunLRBExperiment(const ExperimentOptions& options) {
     result.total_firings = pncwf->total_firings();
   }
   return result;
-}
-
-namespace {
-
-void AppendHistogramJson(std::ostringstream& out, const char* query_type,
-                         const obs::HistogramSnapshot& hist) {
-  out << "    \"" << query_type << "\": {\"count\": " << hist.count
-      << ", \"mean_us\": " << hist.mean << ", \"p50_us\": " << hist.p50
-      << ", \"p95_us\": " << hist.p95 << ", \"p99_us\": " << hist.p99
-      << ", \"max_us\": " << hist.max << ", \"buckets\": [";
-  bool first = true;
-  for (const auto& [upper, n] : hist.buckets) {
-    if (!first) {
-      out << ", ";
-    }
-    first = false;
-    out << "{\"le_us\": " << upper << ", \"n\": " << n << "}";
-  }
-  out << "]}";
-}
-
-}  // namespace
-
-std::string RenderBenchJson(const ExperimentResult& result,
-                            const std::string& label) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"bench\": \"" << label << "\",\n";
-  out << "  \"scheduler\": \"" << SchedulerKindName(result.scheduler)
-      << "\",\n";
-  out << "  \"status\": \"" << (result.status.ok() ? "ok" : "error")
-      << "\",\n";
-#ifdef CWF_OBS_ENABLED
-  out << "  \"obs_compiled_in\": true,\n";
-#else
-  out << "  \"obs_compiled_in\": false,\n";
-#endif
-  out << "  \"reports_generated\": " << result.reports_generated << ",\n";
-  out << "  \"toll_notifications\": " << result.toll_notifications << ",\n";
-  out << "  \"accident_notifications\": " << result.accident_notifications
-      << ",\n";
-  out << "  \"toll_avg_response_s\": " << result.toll_avg_response_s << ",\n";
-  out << "  \"toll_p95_response_s\": " << result.toll_p95_response_s << ",\n";
-  out << "  \"accident_fraction_under_5s\": "
-      << result.accident_fraction_under_5s << ",\n";
-  out << "  \"total_firings\": " << result.total_firings << ",\n";
-  out << "  \"response_time_histograms_us\": {\n";
-  AppendHistogramJson(out, "toll", result.toll_response_hist);
-  out << ",\n";
-  AppendHistogramJson(out, "accident", result.accident_response_hist);
-  out << "\n  }\n";
-  out << "}\n";
-  return out.str();
-}
-
-Status WriteBenchJson(const ExperimentResult& result, const std::string& label,
-                      const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::Internal("cannot open '" + path + "' for writing");
-  }
-  out << RenderBenchJson(result, label);
-  out.close();
-  if (!out) {
-    return Status::Internal("write to '" + path + "' failed");
-  }
-  return Status::OK();
 }
 
 std::string RenderCurve(const ExperimentResult& result,

@@ -68,7 +68,7 @@ struct ExperimentResult {
   double accident_fraction_under_5s = 0;  ///< LRB's 5-second requirement
 
   /// Per-query-type response-time histograms (µs), log-bucketed like the
-  /// engine's latency metrics; the bench JSON export renders these.
+  /// engine's latency metrics; bench/harness.h's BENCH JSON renders these.
   obs::HistogramSnapshot toll_response_hist;
   obs::HistogramSnapshot accident_response_hist;
 
@@ -97,17 +97,6 @@ Result<ExperimentResult> RunLRBExperiment(const ExperimentOptions& options);
 /// output format).
 std::string RenderCurve(const ExperimentResult& result,
                         const std::string& label);
-
-/// \brief Render a result as the BENCH_*.json document: run metadata,
-/// headline QoS numbers, and the per-query-type response-time histograms
-/// (count/mean/p50/p95/p99/max plus the non-empty log buckets).
-std::string RenderBenchJson(const ExperimentResult& result,
-                            const std::string& label);
-
-/// \brief Write RenderBenchJson to `path` (conventionally
-/// BENCH_<scheduler>.json next to the harness binary).
-Status WriteBenchJson(const ExperimentResult& result, const std::string& label,
-                      const std::string& path);
 
 }  // namespace cwf::lrb
 

@@ -22,6 +22,9 @@ namespace cwf::net {
 
 namespace {
 
+/// Bytes per socket read; also the unit of staging overshoot.
+constexpr size_t kReadBufferBytes = 16 * 1024;
+
 /// Host-side monotone microseconds for pause durations and access-log
 /// stamps (independent of the engine Clock, which may be virtual).
 int64_t SteadyMicros() {
@@ -150,7 +153,7 @@ class IngestServer::Shard {
  private:
   void Loop() {
     std::vector<epoll_event> events(128);
-    read_buf_.resize(server_->options_.read_buffer_bytes);
+    read_buf_.resize(kReadBufferBytes);
     for (;;) {
       const int n = ::epoll_wait(epoll_fd_, events.data(),
                                  static_cast<int>(events.size()), -1);
@@ -612,9 +615,6 @@ IngestServer::IngestServer(Clock* clock, Options options)
   }
   if (options_.staging_limit == 0) {
     options_.staging_limit = 1;
-  }
-  if (options_.read_buffer_bytes == 0) {
-    options_.read_buffer_bytes = 4096;
   }
 }
 

@@ -80,11 +80,9 @@ class IngestServer {
     size_t max_connections = 8192;
     /// Staged tuples per connection before its fd leaves the epoll
     /// read-interest set. Staging may transiently overshoot by the tuples
-    /// decoded from one already-read buffer — the bound gates further
-    /// socket reads, it never drops a decoded tuple.
+    /// decoded from one already-read 16 KiB buffer — the bound gates
+    /// further socket reads, it never drops a decoded tuple.
     size_t staging_limit = 256;
-    /// Bytes per socket read; also the unit of staging overshoot.
-    size_t read_buffer_bytes = 16 * 1024;
     /// Access-log path ("" = no access log). Connect/close/error events,
     /// one line each, flushed off-thread by a BackgroundWriter.
     std::string access_log_path;

@@ -53,7 +53,6 @@ void RegisterHelp(MetricsRegistry& reg) {
 
 void WorkflowTelemetry::Bind(const Workflow& workflow,
                              const char* director_kind) {
-  observers_.clear();
 #ifdef CWF_OBS_ENABLED
   actors_.clear();
   MetricsRegistry& reg = MetricsRegistry::Global();
@@ -88,18 +87,6 @@ void WorkflowTelemetry::Bind(const Workflow& workflow,
   (void)workflow;
   (void)director_kind;
 #endif
-}
-
-void WorkflowTelemetry::AddObserver(ExecutionObserver* observer) {
-  if (observer == nullptr) {
-    return;
-  }
-  for (ExecutionObserver* o : observers_) {
-    if (o == observer) {
-      return;
-    }
-  }
-  observers_.push_back(observer);
 }
 
 const ReceiverProbe* WorkflowTelemetry::CreateReceiverProbe(
@@ -161,9 +148,6 @@ WorkflowTelemetry::ActorProfileSites WorkflowTelemetry::ProfileSitesFor(
 }
 
 void WorkflowTelemetry::RecordFiring(const FiringRecord& record) {
-  for (ExecutionObserver* o : observers_) {
-    o->OnFiring(record);
-  }
 #ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(record.actor);
   if (ai == nullptr) {
@@ -186,38 +170,41 @@ void WorkflowTelemetry::RecordFiring(const FiringRecord& record) {
     GlobalTracer().OnFiring(ai->tid, record.wave, record.start, record.end,
                             record.consumed, record.emitted);
   }
+#else
+  (void)record;
 #endif
 }
 
-void WorkflowTelemetry::RecordArrival(const Actor* actor, size_t n,
-                                      Timestamp now) {
-  for (ExecutionObserver* o : observers_) {
-    o->OnEventsArrived(actor, n, now);
-  }
+void WorkflowTelemetry::RecordArrival(const Actor* actor, size_t n) {
 #ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(actor);
   if (ai != nullptr && MetricsEnabled()) {
     ai->arrived->Add(n);
   }
+#else
+  (void)actor;
+  (void)n;
 #endif
 }
 
-void WorkflowTelemetry::RecordDecision(const SchedulerDecision& decision) {
+void WorkflowTelemetry::RecordDecision(const Actor* chosen,
+                                       size_t queued_events, Timestamp now) {
 #ifdef CWF_OBS_ENABLED
-  const ActorInstruments* ai = Find(decision.chosen);
+  const ActorInstruments* ai = Find(chosen);
   if (ai == nullptr) {
     return;
   }
   if (MetricsEnabled()) {
     ai->decisions->Add(1);
-    ready_queue_events_->Record(
-        static_cast<int64_t>(decision.total_queued_events));
+    ready_queue_events_->Record(static_cast<int64_t>(queued_events));
   }
   if (TracingEnabled()) {
-    GlobalTracer().Instant(ai->tid, decision.now);
+    GlobalTracer().Instant(ai->tid, now);
   }
 #else
-  (void)decision;
+  (void)chosen;
+  (void)queued_events;
+  (void)now;
 #endif
 }
 

@@ -1,17 +1,16 @@
 // The hook layer between the engine's hot paths and the observability
-// backends (obs/metrics.h, obs/trace_buffer.h) plus any registered
-// ExecutionObserver (stafilos::ActorStatistics is one).
+// backends (obs/metrics.h, obs/trace_buffer.h). It is a pure sink: nothing
+// the engine decides reads back from it (the STAFiLOS statistics module is
+// scheduler-side and fed by the scheduler's own hooks).
 //
 // Design rules:
 //  * Instruments are resolved ONCE, at Director::Initialize (Bind /
 //    CreateReceiverProbe). The hot-path hooks touch nothing but relaxed
 //    atomics and one read-only table indexed by Actor::slot() — the
 //    registry lock is never taken while the workflow runs.
-//  * Observer fan-out ALWAYS fires: STAFiLOS schedulers need
-//    ActorStatistics regardless of whether metrics are being collected.
-//    Only the metric/tracer sinks are gated — at compile time by
-//    CWF_OBS_ENABLED (CMake option CONFLUENCE_OBS) and at runtime by
-//    obs::MetricsEnabled() / obs::TracingEnabled().
+//  * Every sink is gated — at compile time by CWF_OBS_ENABLED (CMake option
+//    CONFLUENCE_OBS) and at runtime by obs::MetricsEnabled() /
+//    obs::TracingEnabled().
 //  * All directors share one process-global WaveTracer so composite
 //    actors' inner directors land on the same Perfetto timeline.
 
@@ -77,33 +76,9 @@ struct FiringRecord {
   const WaveTag* wave = nullptr;
 };
 
-/// \brief One scheduler pick (SCWF): which actor, and the ready-queue
-/// state it was picked out of.
-struct SchedulerDecision {
-  const Actor* chosen = nullptr;
-  size_t total_queued_events = 0;  ///< events queued engine-wide
-  Timestamp now;
-};
-
-/// \brief Consumer interface for execution events. ActorStatistics
-/// implements this; the fan-out is unconditional (never gated by the
-/// metrics toggles), so schedulers keep their statistics with telemetry
-/// compiled out.
-class ExecutionObserver {
- public:
-  virtual ~ExecutionObserver() = default;
-
-  virtual void OnFiring(const FiringRecord& record) { (void)record; }
-  virtual void OnEventsArrived(const Actor* actor, size_t n, Timestamp now) {
-    (void)actor;
-    (void)n;
-    (void)now;
-  }
-};
-
 /// \brief One director's telemetry frontend: owns the resolved instrument
-/// handles and the observer list, and routes every hook to (a) observers,
-/// (b) the metrics registry, (c) the global wave tracer.
+/// handles and routes every hook to the metrics registry and the global
+/// wave tracer.
 class WorkflowTelemetry {
  public:
   WorkflowTelemetry() = default;
@@ -113,13 +88,8 @@ class WorkflowTelemetry {
   /// \brief Resolve per-actor instruments against the global registry and
   /// register trace tracks for every actor of `workflow`, in a table
   /// indexed by Actor::slot(); once bound, a hook for an actor of any other
-  /// workflow CWF_CHECK-fails. Clears the observer list (Initialize
-  /// re-entry starts from a clean slate; the SCWF director re-adds its
-  /// statistics module afterwards). No-op when telemetry is compiled out.
+  /// workflow CWF_CHECK-fails. No-op when telemetry is compiled out.
   void Bind(const Workflow& workflow, const char* director_kind);
-
-  /// \brief Register an execution-event consumer (not owned).
-  void AddObserver(ExecutionObserver* observer);
 
   /// \brief Resolve the per-channel receiver instruments for the channel
   /// into `port_name` (channel > 0 gets a "#<channel>" suffix). Returns
@@ -130,15 +100,18 @@ class WorkflowTelemetry {
 
   // ---- Hot-path hooks ----
 
-  /// \brief A firing completed. Observers always; metrics and trace spans
-  /// when the respective toggles are on.
+  /// \brief A firing completed. Metrics and trace spans when the
+  /// respective toggles are on.
   void RecordFiring(const FiringRecord& record);
 
-  /// \brief `n` events were queued toward `actor` (scheduler enqueue).
-  void RecordArrival(const Actor* actor, size_t n, Timestamp now);
+  /// \brief `n` events were queued toward `actor` (a window the SCWF
+  /// scheduler admitted).
+  void RecordArrival(const Actor* actor, size_t n);
 
-  /// \brief The scheduler picked an actor.
-  void RecordDecision(const SchedulerDecision& decision);
+  /// \brief The scheduler picked `chosen` at `now` with `queued_events`
+  /// events queued engine-wide.
+  void RecordDecision(const Actor* chosen, size_t queued_events,
+                      Timestamp now);
 
   /// \brief A producer's firing was deferred because a plan-bounded
   /// downstream queue is full (simulated-thread PNCWF backpressure).
@@ -146,18 +119,17 @@ class WorkflowTelemetry {
 
   /// \brief One event was stamped and broadcast to `fanout` receivers
   /// (Director::FlushActorOutputs). Births waves in the tracer.
-  void RecordEmit(const CWEvent& event, size_t fanout, Timestamp now) {
+  void RecordEmit(const CWEvent& event, size_t fanout) {
 #ifdef CWF_OBS_ENABLED
     if (events_emitted_ != nullptr && MetricsEnabled()) {
       events_emitted_->Add(1);
     }
     if (TracingEnabled()) {
-      GlobalTracer().OnEventEmitted(event.wave, event.timestamp, now, fanout);
+      GlobalTracer().OnEventEmitted(event.wave, event.timestamp, fanout);
     }
 #else
     (void)event;
     (void)fanout;
-    (void)now;
 #endif
   }
 
@@ -173,8 +145,6 @@ class WorkflowTelemetry {
     const ProfileSite* postfire = nullptr;
   };
   ActorProfileSites ProfileSitesFor(const Actor* actor) const;
-
-  size_t observer_count() const { return observers_.size(); }
 
  private:
   /// Instrument handles of one actor, resolved at Bind.
@@ -194,7 +164,6 @@ class WorkflowTelemetry {
   /// `actor`'s instruments; nullptr while unbound (or compiled out).
   const ActorInstruments* Find(const Actor* actor) const;
 
-  std::vector<ExecutionObserver*> observers_;
   /// Indexed by Actor::slot(). Read-only after Bind (PNCWF actor threads
   /// look up concurrently).
   std::vector<ActorInstruments> actors_;

@@ -97,7 +97,7 @@ void WaveTracer::ResetTopology(bool clear_buffer) {
 }
 
 void WaveTracer::OnEventEmitted(const WaveTag& wave, Timestamp event_ts,
-                                Timestamp now, size_t fanout) {
+                                size_t fanout) {
   const uint64_t root = wave.root();
   bool born = false;
   {

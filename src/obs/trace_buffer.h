@@ -104,8 +104,7 @@ class WaveTracer {
 
   /// \brief An event was stamped and broadcast to `fanout` receivers.
   /// Depth-0 tags birth a wave.
-  void OnEventEmitted(const WaveTag& wave, Timestamp event_ts, Timestamp now,
-                      size_t fanout);
+  void OnEventEmitted(const WaveTag& wave, Timestamp event_ts, size_t fanout);
 
   /// \brief A firing attributed to `wave` ran on the actor with processing
   /// track `tid` over [start, end] engine time, consuming `consumed`

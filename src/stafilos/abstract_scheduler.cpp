@@ -36,6 +36,7 @@ Status AbstractScheduler::Initialize(SchedulerHost* host,
     return Status::InvalidArgument("scheduler needs a host");
   }
   host_ = host;
+  stats_.Initialize(workflow);
   entries_.clear();
   store_.clear();
   free_slots_.clear();
@@ -107,7 +108,7 @@ bool AbstractScheduler::SourceHasData(const Entry& entry) const {
          host_->SourceHasData(entry.actor);
 }
 
-void AbstractScheduler::Enqueue(Actor* target, ReadyWindow window) {
+bool AbstractScheduler::Enqueue(Actor* target, ReadyWindow window) {
   Entry* entry = Find(target);
   CWF_CHECK_MSG(entry != nullptr,
                 "Enqueue for unregistered actor " << target->name());
@@ -118,14 +119,14 @@ void AbstractScheduler::Enqueue(Actor* target, ReadyWindow window) {
     // queueing delay of everything already admitted.
     ++shed_windows_;
     shed_events_ += window.window.events.size();
-    return;
+    return false;
   }
   window.enqueued_at = host_->Now();
   window.key_ts = window.window.OldestTimestamp();
   window.key_seq =
       window.window.events.empty() ? 0 : window.window.events.front().seq;
-  host_->NotifyEventsArrived(target, window.window.events.size(),
-                             window.enqueued_at);
+  stats_.OnEventsArrived(target, window.window.events.size(),
+                         window.enqueued_at);
   queued_events_ += window.window.events.size();
   const QueuedWindow handle{window.key_ts, window.key_seq,
                             Store(std::move(window))};
@@ -136,6 +137,7 @@ void AbstractScheduler::Enqueue(Actor* target, ReadyWindow window) {
     std::push_heap(entry->queue.begin(), entry->queue.end(), HeapCmp());
   }
   RecomputeState(entry);
+  return true;
 }
 
 std::optional<ReadyWindow> AbstractScheduler::PopWindow(Actor* actor) {
@@ -211,20 +213,22 @@ void AbstractScheduler::OnInputAttached(const Actor* actor) {
   RecomputeState(entry);
 }
 
-void AbstractScheduler::OnActorFired(Actor* actor, Duration cost, bool fired) {
+void AbstractScheduler::OnActorFired(Actor* actor,
+                                     const FiringOutcome& outcome, bool fired) {
   Entry* entry = Find(actor);
   CWF_CHECK_MSG(entry != nullptr,
                 "OnActorFired for unregistered actor " << actor->name());
   entry->fired_this_iteration = true;
   if (fired) {
-    ++entry->firings;
+    stats_.OnFiring(actor, outcome.cost, outcome.consumed, outcome.emitted,
+                    host_->Now());
   }
   if (entry->is_source) {
     internal_firings_since_source_ = 0;
   } else {
     ++internal_firings_since_source_;
   }
-  ChargeCost(entry, cost);
+  ChargeCost(entry, outcome.cost);
   RecomputeState(entry);
 }
 

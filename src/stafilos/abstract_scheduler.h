@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/director.h"
 #include "core/workflow.h"
 #include "stafilos/statistics.h"
 #include "window/tm_windowed_receiver.h"
@@ -78,18 +79,6 @@ class SchedulerHost {
 
   /// \brief Whether a source actor has external data ready to inject.
   virtual bool SourceHasData(const Actor* actor) const = 0;
-
-  /// \brief The runtime statistics module.
-  virtual ActorStatistics* statistics() = 0;
-
-  /// \brief `n` events were queued toward `actor` (AbstractScheduler::
-  /// Enqueue). The default feeds the statistics module directly; the SCWF
-  /// director overrides this to fan out through its telemetry layer so
-  /// metrics and statistics observe one stream.
-  virtual void NotifyEventsArrived(const Actor* actor, size_t n,
-                                   Timestamp now) {
-    statistics()->OnEventsArrived(actor, n, now);
-  }
 };
 
 /// \brief Base class of every pluggable CWf scheduling policy.
@@ -102,13 +91,14 @@ class AbstractScheduler {
 
   // ---- Framework wiring (driven by the SCWF director) ----
 
-  /// \brief Register the workflow's actors (one entry per Actor::slot())
-  /// and bind the host services.
+  /// \brief Register the workflow's actors (one entry per Actor::slot()),
+  /// bind the host services and reset the statistics module.
   virtual Status Initialize(SchedulerHost* host, const Workflow& workflow);
 
   /// \brief A produced window became ready for `target`; queue it (or, for
-  /// period-buffered policies, hold it for the next period).
-  void Enqueue(Actor* target, ReadyWindow window);
+  /// period-buffered policies, hold it for the next period) and record its
+  /// events as arrivals. Returns false when the load shedder dropped it.
+  bool Enqueue(Actor* target, ReadyWindow window);
 
   /// \brief Pop the timestamp-earliest queued window of `actor` (nullopt
   /// when none is queued or the actor is not registered).
@@ -134,8 +124,10 @@ class AbstractScheduler {
   void OnInputAttached(const Actor* actor);
 
   /// \brief Director signals: `actor` completed a firing attempt. `fired`
-  /// is false when prefire() rejected (no cost was incurred).
-  virtual void OnActorFired(Actor* actor, Duration cost, bool fired);
+  /// is false when prefire() rejected (no cost was incurred); otherwise
+  /// `outcome` is the firing's record, which feeds the statistics module.
+  virtual void OnActorFired(Actor* actor, const FiringOutcome& outcome,
+                            bool fired);
 
   // ---- Introspection (tests, Table-2 verification, benchmarks) ----
 
@@ -148,6 +140,8 @@ class AbstractScheduler {
   /// \brief Whether GetNextActor() would currently return an actor.
   bool HasImmediateWork();
   uint64_t iteration_count() const { return iterations_; }
+  /// \brief The runtime statistics module, fed by Enqueue and OnActorFired.
+  const ActorStatistics& statistics() const { return stats_; }
 
   /// \brief Per-actor designer priority (QBS); smaller = more important.
   void SetActorPriority(const std::string& actor_name, int priority) {
@@ -190,7 +184,6 @@ class AbstractScheduler {
     bool fired_this_iteration = false;
     /// Monotone stamp taken on each transition into kActive (FIFO ties).
     uint64_t ready_order = 0;
-    uint64_t firings = 0;
   };
 
   // ---- Policy hooks ----
@@ -240,6 +233,7 @@ class AbstractScheduler {
   /// One entry per workflow actor, indexed by Actor::slot().
   std::vector<Entry> entries_;
   SchedulerHost* host_ = nullptr;
+  ActorStatistics stats_;
   std::map<std::string, int> designer_priorities_;
   uint64_t iterations_ = 0;
   uint64_t internal_firings_since_source_ = 0;

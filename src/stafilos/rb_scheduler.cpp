@@ -40,10 +40,9 @@ void RBScheduler::OnIterationEnd() {
   // Period boundary: refresh the dynamic priorities from the statistics
   // module, then let the base release the period buffers and recompute
   // states.
-  ActorStatistics* stats = host_->statistics();
-  stats->RecomputeGlobal();
+  stats_.RecomputeGlobal();
   for (Entry& entry : entries_) {
-    entry.priority = stats->RatePriority(entry.actor);
+    entry.priority = stats_.RatePriority(entry.actor);
   }
   AbstractScheduler::OnIterationEnd();
 }

@@ -1,5 +1,7 @@
 #include "stafilos/statistics.h"
 
+#include <algorithm>
+
 namespace cwf {
 namespace {
 

@@ -21,7 +21,6 @@
 
 #include "common/time.h"
 #include "core/workflow.h"
-#include "obs/telemetry.h"
 
 namespace cwf {
 
@@ -74,14 +73,13 @@ struct ActorStats {
   }
 };
 
-/// \brief Statistics registry exposed to every STAFiLOS scheduler.
+/// \brief Statistics registry of a STAFiLOS scheduler.
 ///
-/// Consumes the engine's execution events as an obs::ExecutionObserver
-/// registered with the SCWF director's telemetry layer — the same hook
-/// points that drive the metrics registry and the wave tracer. The fan-out
-/// to this module is unconditional (schedulers need statistics even with
-/// metrics collection off or telemetry compiled out).
-class ActorStatistics : public obs::ExecutionObserver {
+/// AbstractScheduler owns one and feeds it from the hooks the SCWF director
+/// signals: Enqueue records admitted arrivals, OnActorFired records
+/// completed firings. Telemetry does not feed it, so schedulers keep their
+/// statistics with metrics collection off or compiled out.
+class ActorStatistics {
  public:
   /// \brief EWMA smoothing factor for costs and rates.
   explicit ActorStatistics(double alpha = 0.2) : alpha_(alpha) {}
@@ -95,14 +93,8 @@ class ActorStatistics : public obs::ExecutionObserver {
   void OnFiring(const Actor* actor, Duration cost, size_t consumed,
                 size_t produced, Timestamp now);
 
-  /// \brief ExecutionObserver entry point; delegates to the above.
-  void OnFiring(const obs::FiringRecord& record) override {
-    OnFiring(record.actor, record.cost, record.consumed, record.emitted,
-             record.end);
-  }
-
   /// \brief Record `n` events arriving at `actor`'s input queues.
-  void OnEventsArrived(const Actor* actor, size_t n, Timestamp now) override;
+  void OnEventsArrived(const Actor* actor, size_t n, Timestamp now);
 
   /// \brief Stats of one actor (zeroed entry if not registered).
   const ActorStats& Get(const Actor* actor) const;

@@ -71,26 +71,27 @@ TEST(DispatchTablesTest, ReinitializeRebuildsEveryTable) {
     rig.feed->Push(Token(i), Timestamp(0));
   }
   SCWFDirector d(std::make_unique<FIFOScheduler>());
+  const ActorStatistics& stats = d.scheduler()->statistics();
   ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
   ASSERT_TRUE(d.Run(Timestamp::Seconds(1)).ok());
   ASSERT_TRUE(d.IsHalted(rig.halt));
-  EXPECT_EQ(d.stats().Get(rig.halt).invocations, 1u);
-  EXPECT_DOUBLE_EQ(d.stats().Get(rig.halt).AvgCost(), 700.0);
+  EXPECT_EQ(stats.Get(rig.halt).invocations, 1u);
+  EXPECT_DOUBLE_EQ(stats.Get(rig.halt).AvgCost(), 700.0);
 
   // Costs are resolved per Initialize: this one applies from the next.
   rig.cm.SetActorCost("halt", {300, 0, 0});
   ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
   EXPECT_FALSE(d.IsHalted(rig.halt));
-  EXPECT_EQ(d.stats().Get(rig.halt).invocations, 0u);
-  EXPECT_EQ(d.stats().Get(rig.src).invocations, 0u);
+  EXPECT_EQ(stats.Get(rig.halt).invocations, 0u);
+  EXPECT_EQ(stats.Get(rig.src).invocations, 0u);
   EXPECT_EQ(d.total_firings(), 0u);
 
   rig.feed->Push(Token(9), rig.clock.Now());
   rig.feed->Close();
   ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
   EXPECT_TRUE(d.IsHalted(rig.halt));
-  EXPECT_EQ(d.stats().Get(rig.halt).invocations, 1u);
-  EXPECT_DOUBLE_EQ(d.stats().Get(rig.halt).AvgCost(), 300.0);
+  EXPECT_EQ(stats.Get(rig.halt).invocations, 1u);
+  EXPECT_DOUBLE_EQ(stats.Get(rig.halt).AvgCost(), 300.0);
 }
 
 TEST(DispatchTablesTest, ReinitializeClearsHaltedFlagsUnderDdf) {

@@ -61,7 +61,7 @@ TEST(SCWFTest, StatisticsModuleTracksCostsAndSelectivity) {
   SCWFDirector d(std::make_unique<FIFOScheduler>());
   ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
   ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
-  const ActorStats& s = d.stats().Get(rig.map);
+  const ActorStats& s = d.scheduler()->statistics().Get(rig.map);
   EXPECT_EQ(s.invocations, 20u);
   EXPECT_EQ(s.events_consumed, 20u);
   EXPECT_EQ(s.events_produced, 20u);
@@ -190,7 +190,7 @@ TEST(SCWFTest, RunsOnRealClockWithoutCostModel) {
   ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
   EXPECT_EQ(rig.sink->count(), 10u);
   // Measured (not modeled) costs were recorded.
-  EXPECT_EQ(d.stats().Get(rig.map).invocations, 10u);
+  EXPECT_EQ(d.scheduler()->statistics().Get(rig.map).invocations, 10u);
 }
 
 TEST(SCWFTest, RealClockHonorsFutureArrivalsWithinHorizon) {

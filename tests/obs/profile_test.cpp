@@ -240,10 +240,10 @@ TEST(CriticalPathTest, GoldenThreeActorChain) {
   // child tag BEFORE the firing is recorded (FlushActorOutputs runs inside
   // the firing), keeping the wave in flight until C consumes the last one.
   const WaveTag wave = WaveTag::Root(1);
-  tracer.OnEventEmitted(wave, Timestamp(0), Timestamp(0), 1);
-  tracer.OnEventEmitted(wave.Child(1), Timestamp(200), Timestamp(200), 1);
+  tracer.OnEventEmitted(wave, Timestamp(0), 1);
+  tracer.OnEventEmitted(wave.Child(1), Timestamp(200), 1);
   tracer.OnFiring(a, &wave, Timestamp(50), Timestamp(200), 1, 1);
-  tracer.OnEventEmitted(wave.Child(2), Timestamp(600), Timestamp(600), 1);
+  tracer.OnEventEmitted(wave.Child(2), Timestamp(600), 1);
   tracer.OnFiring(b, &wave, Timestamp(300), Timestamp(600), 1, 1);
   tracer.OnFiring(c, &wave, Timestamp(800), Timestamp(1800), 1, 0);
   ASSERT_EQ(1u, tracer.waves_closed());
@@ -281,8 +281,8 @@ TEST(CriticalPathTest, WavesWithDistinctTerminalsFormSeparateGroups) {
   const uint32_t b = tracer.RegisterTrack("B");
   const WaveTag w1 = WaveTag::Root(1);
   const WaveTag w2 = WaveTag::Root(2);
-  tracer.OnEventEmitted(w1, Timestamp(0), Timestamp(0), 1);
-  tracer.OnEventEmitted(w2, Timestamp(0), Timestamp(0), 1);
+  tracer.OnEventEmitted(w1, Timestamp(0), 1);
+  tracer.OnEventEmitted(w2, Timestamp(0), 1);
   tracer.OnFiring(a, &w1, Timestamp(10), Timestamp(500), 1, 0);
   tracer.OnFiring(b, &w2, Timestamp(10), Timestamp(100), 1, 0);
   const CriticalPathReport report = ComputeCriticalPaths(tracer, 3);
@@ -301,8 +301,8 @@ TEST(CriticalPathTest, WraparoundTruncatedWaveIsDroppedAndCounted) {
   const uint32_t a = tracer.RegisterTrack("A");
   const WaveTag w1 = WaveTag::Root(1);
   const WaveTag filler = WaveTag::Root(2);
-  tracer.OnEventEmitted(w1, Timestamp(0), Timestamp(0), 1);
-  tracer.OnEventEmitted(filler, Timestamp(1), Timestamp(1), 1);
+  tracer.OnEventEmitted(w1, Timestamp(0), 1);
+  tracer.OnEventEmitted(filler, Timestamp(1), 1);
   for (int i = 0; i < 4; ++i) {  // 4 firings x >=2 events >= capacity
     tracer.OnFiring(a, &filler, Timestamp(10 + 10 * i), Timestamp(15 + 10 * i),
                     1, 1);

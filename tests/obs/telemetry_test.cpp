@@ -123,10 +123,10 @@ TEST_F(TelemetryTest, DisablingMetricsStopsSinksButNotExecution) {
   EXPECT_EQ(
       reg.GetCounter("cwf_receiver_puts_total", "port", "map.in")->Value(),
       0u);
-  // The workflow itself ran normally; the stats observer (always on) saw
-  // every firing.
+  // The workflow itself ran normally; the scheduler's statistics module,
+  // which telemetry does not feed, saw every firing.
   EXPECT_EQ(rig.sink->TakeSnapshot().size(), 5u);
-  EXPECT_EQ(d.stats().Get(rig.map).invocations, 5u);
+  EXPECT_EQ(d.scheduler()->statistics().Get(rig.map).invocations, 5u);
 }
 
 TEST_F(TelemetryTest, InitializeReEntryResetsPerRunState) {
@@ -135,12 +135,12 @@ TEST_F(TelemetryTest, InitializeReEntryResetsPerRunState) {
   SCWFDirector d(std::make_unique<FIFOScheduler>());
   ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
   ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
-  EXPECT_EQ(d.stats().Get(rig.map).invocations, 9u);
+  EXPECT_EQ(d.scheduler()->statistics().Get(rig.map).invocations, 9u);
 
   // Re-initialize: receivers are rebuilt, every input-port high-water mark
   // and the statistics module start from zero.
   ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
-  EXPECT_EQ(d.stats().Get(rig.map).invocations, 0u);
+  EXPECT_EQ(d.scheduler()->statistics().Get(rig.map).invocations, 0u);
   for (const auto& actor : rig.wf.actors()) {
     for (const auto& port : actor->input_ports()) {
       for (size_t c = 0; c < port->ChannelCount(); ++c) {

@@ -95,7 +95,7 @@ TEST(AbstractSchedulerTest, EnqueueFeedsArrivalStatistics) {
   Bound b;
   b.rig.clock.AdvanceTo(Timestamp::Seconds(1));
   b.sched->Enqueue(b.rig.stage_a, MakeRW(&b.rig, 500, 1));
-  EXPECT_EQ(b.director.stats().Get(b.rig.stage_a).events_arrived, 1u);
+  EXPECT_EQ(b.sched->statistics().Get(b.rig.stage_a).events_arrived, 1u);
 }
 
 TEST(AbstractSchedulerTest, GetNextActorNullWhenNothingActive) {

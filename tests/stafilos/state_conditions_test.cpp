@@ -121,7 +121,7 @@ TEST(StateConditionsTest, RB_SourceActivePerPeriodUntilFired) {
   EXPECT_EQ(sp->GetNextActor(), rig.src);
   EXPECT_EQ(sp->GetState(rig.src), ActorState::kActive);
   // After firing once in this period: WAITING.
-  sp->OnActorFired(rig.src, 100, true);
+  sp->OnActorFired(rig.src, FiringOutcome{.cost = 100}, true);
   EXPECT_EQ(sp->GetState(rig.src), ActorState::kWaiting);
   // New period: eligible again.
   sp->OnIterationEnd();

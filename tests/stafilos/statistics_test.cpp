@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include "actors/library.h"
+#include "obs/metrics.h"
+#include "sched_test_util.h"
+#include "stafilos/fifo_scheduler.h"
+#include "stafilos/rb_scheduler.h"
 #include "stafilos/statistics.h"
 
 namespace cwf {
 namespace {
+
+using schedtest::PipelineRig;
 
 Token Identity(const Token& t) { return t; }
 
@@ -147,6 +153,138 @@ TEST(StatisticsTest, InitializeResets) {
   stats.OnFiring(g.a, 100, 1, 1, Timestamp::Seconds(1));
   stats.Initialize(g.wf);
   EXPECT_EQ(stats.Get(g.a).invocations, 0u);
+}
+
+// ---- The scheduler-owned module, driven through the scheduler hooks ----
+
+ReadyWindow OneEventWindow(PipelineRig* rig, int64_t ts_us) {
+  ReadyWindow rw;
+  rw.receiver =
+      static_cast<TMWindowedReceiver*>(rig->stage_a->in()->receiver(0));
+  rw.window.events.push_back(
+      CWEvent(Token(ts_us), Timestamp(ts_us), WaveTag::Root(1)));
+  return rw;
+}
+
+TEST(SchedulerStatisticsTest, OnlyCompletedFiringsAreRecorded) {
+  PipelineRig rig;
+  SCWFDirector d(std::make_unique<FIFOScheduler>());
+  ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
+  AbstractScheduler* sched = d.scheduler();
+  const ActorStatistics& stats = sched->statistics();
+  rig.clock.AdvanceTo(Timestamp::Seconds(1));
+  // A rejected prefire (fired=false) leaves the module untouched, whatever
+  // the outcome carries.
+  sched->OnActorFired(rig.stage_a, FiringOutcome{300, 4, 2}, false);
+  EXPECT_EQ(stats.Get(rig.stage_a).invocations, 0u);
+  EXPECT_EQ(stats.Get(rig.stage_a).total_cost, 0);
+  EXPECT_EQ(stats.Get(rig.stage_a).events_consumed, 0u);
+  // A completed firing records its cost and counts; the output rate clock
+  // starts at the host's Now().
+  sched->OnActorFired(rig.stage_a, FiringOutcome{300, 4, 2}, true);
+  const ActorStats& s = stats.Get(rig.stage_a);
+  EXPECT_EQ(s.invocations, 1u);
+  EXPECT_EQ(s.total_cost, 300);
+  EXPECT_EQ(s.events_consumed, 4u);
+  EXPECT_EQ(s.events_produced, 2u);
+  EXPECT_DOUBLE_EQ(s.Selectivity(), 0.5);
+  EXPECT_EQ(s.last_output, Timestamp::Seconds(1));
+}
+
+TEST(SchedulerStatisticsTest, ShedWindowIsNotAnArrival) {
+  PipelineRig rig;
+  SCWFDirector d(std::make_unique<FIFOScheduler>());
+  ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
+  AbstractScheduler* sched = d.scheduler();
+  sched->SetLoadShedding(LoadSheddingOptions{1});
+  rig.clock.AdvanceTo(Timestamp::Seconds(1));
+  EXPECT_TRUE(sched->Enqueue(rig.stage_a, OneEventWindow(&rig, 10)));
+  EXPECT_FALSE(sched->Enqueue(rig.stage_a, OneEventWindow(&rig, 20)));
+  EXPECT_EQ(sched->shed_windows(), 1u);
+  EXPECT_EQ(sched->statistics().Get(rig.stage_a).events_arrived, 1u);
+  EXPECT_EQ(sched->statistics().Get(rig.stage_a).last_arrival,
+            Timestamp::Seconds(1));
+}
+
+TEST(SchedulerStatisticsTest, ArrivalMetricMirrorsAdmittedWindows) {
+#ifndef CWF_OBS_ENABLED
+  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
+#endif
+  obs::MetricsRegistry::Global().Reset();
+  obs::SetMetricsEnabled(true);
+  PipelineRig rig;
+  rig.PushN(30);
+  rig.feed->Close();
+  SCWFDirector d(std::make_unique<FIFOScheduler>());
+  d.scheduler()->SetLoadShedding(LoadSheddingOptions{2});
+  ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
+  ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
+  // Thirty same-instant reports overrun the cap, so some windows are shed;
+  // telemetry counts exactly the arrivals the statistics module saw.
+  ASSERT_GT(d.scheduler()->shed_windows(), 0u);
+  for (const Actor* actor : {static_cast<const Actor*>(rig.stage_a),
+                             static_cast<const Actor*>(rig.stage_b),
+                             static_cast<const Actor*>(rig.sink)}) {
+    EXPECT_EQ(obs::MetricsRegistry::Global()
+                  .GetCounter("cwf_actor_events_arrived_total", "actor",
+                              actor->name())
+                  ->Value(),
+              d.scheduler()->statistics().Get(actor).events_arrived)
+        << actor->name();
+  }
+}
+
+TEST(SchedulerStatisticsTest, ReInitializeZeroesTheModule) {
+  PipelineRig rig;
+  rig.PushN(5);
+  rig.feed->Close();
+  SCWFDirector d(std::make_unique<FIFOScheduler>());
+  ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
+  ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
+  const ActorStatistics& stats = d.scheduler()->statistics();
+  ASSERT_EQ(stats.Get(rig.stage_b).invocations, 5u);
+  ASSERT_EQ(stats.Get(rig.stage_b).events_arrived, 5u);
+
+  ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
+  for (const auto& actor : rig.wf.actors()) {
+    const ActorStats& s = stats.Get(actor.get());
+    EXPECT_EQ(s.invocations, 0u) << actor->name();
+    EXPECT_EQ(s.total_cost, 0) << actor->name();
+    EXPECT_EQ(s.events_consumed, 0u) << actor->name();
+    EXPECT_EQ(s.events_produced, 0u) << actor->name();
+    EXPECT_EQ(s.events_arrived, 0u) << actor->name();
+    EXPECT_EQ(s.input_rate, 0.0) << actor->name();
+    EXPECT_EQ(s.output_rate, 0.0) << actor->name();
+  }
+}
+
+TEST(SchedulerStatisticsTest, RatePriorityFollowsTheSchedulersModule) {
+  PipelineRig rig;
+  auto owned = std::make_unique<RBScheduler>();
+  RBScheduler* rb = owned.get();
+  SCWFDirector d(std::move(owned));
+  ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cm).ok());
+  // stage_a halves its input at 10 µs/event; stage_b passes it on at
+  // 20 µs/event; the sink costs 10 µs/event.
+  rb->OnActorFired(rig.stage_a, FiringOutcome{100, 10, 5}, true);
+  rb->OnActorFired(rig.stage_b, FiringOutcome{200, 10, 10}, true);
+  rb->OnActorFired(rig.sink, FiringOutcome{100, 10, 0}, true);
+  rb->OnIterationEnd();
+  // Sink: S=1, C=10. stage_b: S=1, C=20+10=30. stage_a: S=0.5,
+  // C=10+0.5*30=25, so Pr = 0.5/25.
+  EXPECT_NEAR(rb->PriorityOf(rig.stage_a), 0.5 / 25.0, 1e-12);
+  EXPECT_NEAR(rb->PriorityOf(rig.stage_b), 1.0 / 30.0, 1e-12);
+  EXPECT_DOUBLE_EQ(rb->PriorityOf(rig.stage_a),
+                   rb->statistics().RatePriority(rig.stage_a));
+
+  // Another firing moves the module, and the next period boundary moves
+  // the priority with it: stage_a has consumed 20 events in 300 µs
+  // (15 µs/event) at selectivity 0.5.
+  rb->OnActorFired(rig.stage_a, FiringOutcome{200, 10, 5}, true);
+  rb->OnIterationEnd();
+  EXPECT_NEAR(rb->PriorityOf(rig.stage_a), 0.5 / (15.0 + 0.5 * 30.0), 1e-12);
+  EXPECT_DOUBLE_EQ(rb->PriorityOf(rig.stage_a),
+                   rb->statistics().RatePriority(rig.stage_a));
 }
 
 }  // namespace
