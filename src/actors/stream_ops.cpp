@@ -265,6 +265,7 @@ DbUpsertActor::DbUpsertActor(std::string name, db::Database* database,
 Status DbUpsertActor::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
   CWF_ASSIGN_OR_RETURN(table_, database_->GetTable(table_name_));
+  CWF_ASSIGN_OR_RETURN(upsert_, table_->PrepareUpsert(key_columns_));
   return Status::OK();
 }
 
@@ -283,7 +284,7 @@ Status DbUpsertActor::Fire() {
     for (const auto& column : schema.columns()) {
       row.push_back(e.token.AsRecord()->GetOr(column.name, Value()));
     }
-    auto upserted = table_->Upsert(key_columns_, std::move(row));
+    auto upserted = table_->Upsert(upsert_, std::move(row));
     if (!upserted.ok()) {
       return upserted.status();
     }
@@ -307,6 +308,15 @@ DbLookupActor::DbLookupActor(std::string name, db::Database* database,
 Status DbLookupActor::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
   CWF_ASSIGN_OR_RETURN(table_, database_->GetTable(table_name_));
+  std::vector<db::PredicatePtr> eqs;
+  key_fields_.clear();
+  for (size_t i = 0; i < key_columns_.size(); ++i) {
+    eqs.push_back(
+        db::Eq(key_columns_[i], db::Param(static_cast<uint32_t>(i))));
+    key_fields_.emplace_back(key_columns_[i]);
+  }
+  CWF_ASSIGN_OR_RETURN(lookup_, table_->Prepare(db::And(std::move(eqs))));
+  params_.assign(key_columns_.size(), Value());
   return Status::OK();
 }
 
@@ -319,31 +329,32 @@ Status DbLookupActor::Fire() {
     if (!e.token.is_record()) {
       return Status::InvalidArgument("DbLookupActor needs record tokens");
     }
-    std::vector<db::PredicatePtr> eqs;
-    eqs.reserve(key_columns_.size());
-    for (const std::string& column : key_columns_) {
-      auto value = e.token.AsRecord()->Get(column);
-      if (!value.ok()) {
-        return Status::InvalidArgument("lookup key field '" + column +
+    const Record& rec = *e.token.AsRecord();
+    for (size_t i = 0; i < key_fields_.size(); ++i) {
+      const Value* value = key_fields_[i].Find(rec);
+      if (value == nullptr) {
+        return Status::InvalidArgument("lookup key field '" +
+                                       key_fields_[i].name() +
                                        "' missing from record");
       }
-      eqs.push_back(db::Eq(column, std::move(value).value()));
+      params_[i] = *value;
     }
-    auto row = table_->SelectOne(db::And(std::move(eqs)));
-    if (!row.ok()) {
-      return row.status();
+    auto found = table_->SelectOne(lookup_, params_, &row_);
+    if (!found.ok()) {
+      return found.status();
     }
-    if (!row.value().has_value()) {
+    if (!found.value()) {
       Send(out_, e.token);  // pass through unmatched
       continue;
     }
+    const db::Schema& schema = table_->schema();
     auto merged = std::make_shared<Record>();
-    for (const auto& [n, v] : e.token.AsRecord()->fields()) {
+    merged->Reserve(rec.size() + schema.num_columns());
+    for (const auto& [n, v] : rec.fields()) {
       merged->Set(n, v);
     }
-    const db::Schema& schema = table_->schema();
     for (size_t c = 0; c < schema.num_columns(); ++c) {
-      merged->Set(schema.column(c).name, (*row.value())[c]);
+      merged->Set(schema.column(c).name, row_[c]);
     }
     Send(out_, Token(RecordPtr(std::move(merged))));
     ++hits_;

@@ -187,6 +187,8 @@ class DbUpsertActor : public Actor {
   std::string table_name_;
   std::vector<std::string> key_columns_;
   db::Table* table_ = nullptr;
+  /// The keyed upsert, prepared at Initialize.
+  db::PreparedUpsert upsert_;
   InputPort* in_;
   uint64_t rows_written_ = 0;
 };
@@ -218,6 +220,12 @@ class DbLookupActor : public Actor {
   std::string table_name_;
   std::vector<std::string> key_columns_;
   db::Table* table_ = nullptr;
+  /// "key_columns[i] = ?i", prepared at Initialize; its parameters are
+  /// the record's key fields, found through key_fields_.
+  db::PreparedQuery lookup_;
+  std::vector<FieldPosition> key_fields_;
+  std::vector<Value> params_;
+  db::Row row_;
   InputPort* in_;
   OutputPort* out_;
   uint64_t hits_ = 0;

@@ -146,6 +146,7 @@ class FieldPosition {
 template <typename... Pairs>
 RecordPtr MakeRecord(Pairs&&... pairs) {
   auto rec = std::make_shared<Record>();
+  rec->Reserve(sizeof...(Pairs));
   (rec->Set(pairs.first, pairs.second), ...);
   return rec;
 }

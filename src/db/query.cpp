@@ -1,5 +1,7 @@
 #include "db/query.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 namespace cwf::db {
@@ -23,185 +25,266 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
-/// Numeric-aware comparison: ints and doubles compare by value; other types
-/// compare with Value's total order only when the type matches.
-int CompareValues(const Value& a, const Value& b) {
-  const bool numeric =
-      (a.is_int() || a.is_double()) && (b.is_int() || b.is_double());
-  if (numeric) {
+/// Order() result when either side is null or NaN.
+constexpr int kUnordered = 2;
+
+/// Exact three-way comparison of an int with a (non-NaN) double.
+int CompareIntDouble(int64_t a, double b) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (b >= kTwo63) {
+    return -1;
+  }
+  if (b < -kTwo63) {
+    return 1;
+  }
+  const double whole = std::trunc(b);
+  const auto whole_int = static_cast<int64_t>(whole);
+  if (a != whole_int) {
+    return a < whole_int ? -1 : 1;
+  }
+  // a == trunc(b): the fractional part decides.
+  if (b > whole) return -1;
+  if (b < whole) return 1;
+  return 0;
+}
+
+template <typename T>
+int ThreeWay(T a, T b) {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  return 0;
+}
+
+/// -1/0/1, or kUnordered.
+int Order(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) {
+    return kUnordered;
+  }
+  if (a.is_int()) {
+    if (b.is_int()) {
+      return ThreeWay(a.AsInt(), b.AsInt());
+    }
+    if (b.is_double()) {
+      const double y = b.AsDouble();
+      return std::isnan(y) ? kUnordered : CompareIntDouble(a.AsInt(), y);
+    }
+  } else if (a.is_double()) {
     const double x = a.AsDouble();
-    const double y = b.AsDouble();
-    if (x < y) return -1;
-    if (x > y) return 1;
-    return 0;
+    if (b.is_int()) {
+      return std::isnan(x) ? kUnordered : -CompareIntDouble(b.AsInt(), x);
+    }
+    if (b.is_double()) {
+      const double y = b.AsDouble();
+      return std::isnan(x) || std::isnan(y) ? kUnordered : ThreeWay(x, y);
+    }
   }
   if (a == b) return 0;
   return a < b ? -1 : 1;
 }
 
-class CmpPredicate : public Predicate {
- public:
-  CmpPredicate(std::string column, CmpOp op, Value value)
-      : column_(std::move(column)), op_(op), value_(std::move(value)) {}
-
-  Status Bind(const Schema& schema) override {
-    CWF_ASSIGN_OR_RETURN(index_, schema.ColumnIndex(column_));
-    bound_ = true;
-    return Status::OK();
+/// Node and constant counts of a tree, to size a Filter's arrays once.
+void CountNodes(const Predicate& p, size_t* nodes, size_t* constants) {
+  ++*nodes;
+  if (p.kind() == Predicate::Kind::kCmp && p.param() < 0) {
+    ++*constants;
   }
-
-  bool Matches(const Row& row) const override {
-    CWF_CHECK_MSG(bound_, "predicate used before Bind()");
-    const Value& cell = row[index_];
-    if (cell.is_null()) {
-      return false;  // SQL-style: comparisons with NULL never match
-    }
-    const int c = CompareValues(cell, value_);
-    switch (op_) {
-      case CmpOp::kEq:
-        return c == 0;
-      case CmpOp::kNe:
-        return c != 0;
-      case CmpOp::kLt:
-        return c < 0;
-      case CmpOp::kLe:
-        return c <= 0;
-      case CmpOp::kGt:
-        return c > 0;
-      case CmpOp::kGe:
-        return c >= 0;
-    }
-    return false;
-  }
-
-  void CollectEqualities(
-      std::vector<std::pair<std::string, Value>>* out) const override {
-    if (op_ == CmpOp::kEq) {
-      out->emplace_back(column_, value_);
+  for (const PredicatePtr& child : p.children()) {
+    if (child != nullptr) {
+      CountNodes(*child, nodes, constants);
     }
   }
-
-  std::string ToString() const override {
-    return column_ + " " + CmpOpName(op_) + " " + value_.ToString();
-  }
-
- private:
-  std::string column_;
-  CmpOp op_;
-  Value value_;
-  size_t index_ = 0;
-  bool bound_ = false;
-};
-
-class AndPredicate : public Predicate {
- public:
-  explicit AndPredicate(std::vector<PredicatePtr> children)
-      : children_(std::move(children)) {}
-
-  Status Bind(const Schema& schema) override {
-    for (auto& c : children_) {
-      CWF_RETURN_NOT_OK(c->Bind(schema));
-    }
-    return Status::OK();
-  }
-
-  bool Matches(const Row& row) const override {
-    for (const auto& c : children_) {
-      if (!c->Matches(row)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void CollectEqualities(
-      std::vector<std::pair<std::string, Value>>* out) const override {
-    for (const auto& c : children_) {
-      c->CollectEqualities(out);
-    }
-  }
-
-  std::string ToString() const override {
-    std::ostringstream oss;
-    oss << "(";
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (i > 0) {
-        oss << " AND ";
-      }
-      oss << children_[i]->ToString();
-    }
-    oss << ")";
-    return oss.str();
-  }
-
- private:
-  std::vector<PredicatePtr> children_;
-};
-
-class OrPredicate : public Predicate {
- public:
-  explicit OrPredicate(std::vector<PredicatePtr> children)
-      : children_(std::move(children)) {}
-
-  Status Bind(const Schema& schema) override {
-    for (auto& c : children_) {
-      CWF_RETURN_NOT_OK(c->Bind(schema));
-    }
-    return Status::OK();
-  }
-
-  bool Matches(const Row& row) const override {
-    for (const auto& c : children_) {
-      if (c->Matches(row)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::string ToString() const override {
-    std::ostringstream oss;
-    oss << "(";
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (i > 0) {
-        oss << " OR ";
-      }
-      oss << children_[i]->ToString();
-    }
-    oss << ")";
-    return oss.str();
-  }
-
- private:
-  std::vector<PredicatePtr> children_;
-};
-
-class NotPredicate : public Predicate {
- public:
-  explicit NotPredicate(PredicatePtr child) : child_(std::move(child)) {}
-
-  Status Bind(const Schema& schema) override { return child_->Bind(schema); }
-  bool Matches(const Row& row) const override { return !child_->Matches(row); }
-  std::string ToString() const override {
-    return "NOT " + child_->ToString();
-  }
-
- private:
-  PredicatePtr child_;
-};
-
-class TruePredicate : public Predicate {
- public:
-  Status Bind(const Schema&) override { return Status::OK(); }
-  bool Matches(const Row&) const override { return true; }
-  std::string ToString() const override { return "TRUE"; }
-};
+}
 
 }  // namespace
 
+bool Compare(const Value& cell, CmpOp op, const Value& operand) {
+  const int c = Order(cell, operand);
+  if (c == kUnordered) {
+    return false;  // SQL-style: comparisons with NULL (or NaN) never match
+  }
+  switch (op) {
+    case CmpOp::kEq:
+      return c == 0;
+    case CmpOp::kNe:
+      return c != 0;
+    case CmpOp::kLt:
+      return c < 0;
+    case CmpOp::kLe:
+      return c <= 0;
+    case CmpOp::kGt:
+      return c > 0;
+    case CmpOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
+// Predicate
+// ---------------------------------------------------------------------------
+
+Predicate::Predicate(std::string column, CmpOp op, Value value, int64_t param)
+    : kind_(Kind::kCmp),
+      column_(std::move(column)),
+      op_(op),
+      value_(std::move(value)),
+      param_(param) {}
+
+Predicate::Predicate(Kind kind, std::vector<PredicatePtr> children)
+    : kind_(kind), children_(std::move(children)) {}
+
+Predicate::~Predicate() = default;
+
+Status Predicate::Bind(const Schema& schema) {
+  const Predicate* self = this;
+  CWF_ASSIGN_OR_RETURN(Filter filter, Filter::Compile({&self, 1}, schema));
+  if (filter.param_count() > 0) {
+    return Status::InvalidArgument(
+        "predicate " + ToString() +
+        " has parameter slots; prepare it on a table instead");
+  }
+  bound_ = std::make_unique<Filter>(std::move(filter));
+  return Status::OK();
+}
+
+bool Predicate::Matches(const Row& row) const {
+  CWF_CHECK_MSG(bound_ != nullptr, "predicate used before Bind()");
+  return bound_->Matches(row, {});
+}
+
+std::string Predicate::ToString() const {
+  switch (kind_) {
+    case Kind::kTrue:
+      return "TRUE";
+    case Kind::kCmp:
+      return column_ + " " + CmpOpName(op_) + " " +
+             (param_ >= 0 ? "?" + std::to_string(param_) : value_.ToString());
+    case Kind::kNot:
+      return "NOT " + children_[0]->ToString();
+    case Kind::kAnd:
+    case Kind::kOr: {
+      std::ostringstream oss;
+      oss << "(";
+      for (size_t i = 0; i < children_.size(); ++i) {
+        if (i > 0) {
+          oss << (kind_ == Kind::kAnd ? " AND " : " OR ");
+        }
+        oss << children_[i]->ToString();
+      }
+      oss << ")";
+      return oss.str();
+    }
+  }
+  return "?";
+}
+
+// ---------------------------------------------------------------------------
+// Filter
+// ---------------------------------------------------------------------------
+
+Result<Filter> Filter::Compile(std::span<const Predicate* const> conjuncts,
+                               const Schema& schema) {
+  Filter filter;
+  size_t live = 0;
+  size_t nodes = 0;
+  size_t constants = 0;
+  for (const Predicate* p : conjuncts) {
+    if (p == nullptr) {
+      return Status::InvalidArgument("null predicate");
+    }
+    if (p->kind() != Predicate::Kind::kTrue) {
+      ++live;
+      CountNodes(*p, &nodes, &constants);
+    }
+  }
+  if (live > 1) {
+    filter.nodes_.reserve(nodes + 1);
+    filter.nodes_.push_back(Node{Predicate::Kind::kAnd});
+  } else {
+    filter.nodes_.reserve(nodes);
+  }
+  filter.constants_.reserve(constants);
+  for (const Predicate* p : conjuncts) {
+    if (p->kind() != Predicate::Kind::kTrue) {
+      CWF_RETURN_NOT_OK(filter.Emit(*p, schema));
+    }
+  }
+  if (live > 1) {
+    filter.nodes_[0].end = static_cast<uint32_t>(filter.nodes_.size());
+  }
+  return filter;
+}
+
+Status Filter::Emit(const Predicate& predicate, const Schema& schema) {
+  const size_t i = nodes_.size();
+  nodes_.push_back(Node{predicate.kind()});
+  if (predicate.kind() == Predicate::Kind::kCmp) {
+    CWF_ASSIGN_OR_RETURN(size_t column, schema.ColumnIndex(predicate.column()));
+    Node& node = nodes_[i];
+    node.op = predicate.op();
+    node.column = static_cast<uint32_t>(column);
+    if (predicate.param() >= 0) {
+      node.is_param = true;
+      node.operand = static_cast<uint32_t>(predicate.param());
+      param_count_ =
+          std::max(param_count_, static_cast<size_t>(predicate.param()) + 1);
+    } else {
+      node.operand = static_cast<uint32_t>(constants_.size());
+      constants_.push_back(predicate.value());
+    }
+  }
+  for (const PredicatePtr& child : predicate.children()) {
+    if (child == nullptr) {
+      return Status::InvalidArgument("null predicate");
+    }
+    CWF_RETURN_NOT_OK(Emit(*child, schema));
+  }
+  nodes_[i].end = static_cast<uint32_t>(nodes_.size());
+  return Status::OK();
+}
+
+bool Filter::Eval(size_t i, const Row& row,
+                  std::span<const Value> params) const {
+  const Node& node = nodes_[i];
+  switch (node.kind) {
+    case Predicate::Kind::kTrue:
+      return true;
+    case Predicate::Kind::kCmp:
+      return Compare(row[node.column], node.op,
+                     node.is_param ? params[node.operand]
+                                   : constants_[node.operand]);
+    case Predicate::Kind::kAnd:
+      for (size_t c = i + 1; c < node.end; c = nodes_[c].end) {
+        if (!Eval(c, row, params)) {
+          return false;
+        }
+      }
+      return true;
+    case Predicate::Kind::kOr:
+      for (size_t c = i + 1; c < node.end; c = nodes_[c].end) {
+        if (Eval(c, row, params)) {
+          return true;
+        }
+      }
+      return false;
+    case Predicate::Kind::kNot:
+      return !Eval(i + 1, row, params);
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
+// Factories
+// ---------------------------------------------------------------------------
+
 PredicatePtr Cmp(std::string column, CmpOp op, Value value) {
-  return std::make_shared<CmpPredicate>(std::move(column), op,
-                                        std::move(value));
+  return std::make_shared<Predicate>(std::move(column), op, std::move(value),
+                                     -1);
+}
+
+PredicatePtr Cmp(std::string column, CmpOp op, Param param) {
+  return std::make_shared<Predicate>(std::move(column), op, Value(),
+                                     static_cast<int64_t>(param.slot));
 }
 
 PredicatePtr Eq(std::string column, Value value) {
@@ -222,6 +305,24 @@ PredicatePtr Gt(std::string column, Value value) {
 PredicatePtr Ge(std::string column, Value value) {
   return Cmp(std::move(column), CmpOp::kGe, std::move(value));
 }
+PredicatePtr Eq(std::string column, Param param) {
+  return Cmp(std::move(column), CmpOp::kEq, param);
+}
+PredicatePtr Ne(std::string column, Param param) {
+  return Cmp(std::move(column), CmpOp::kNe, param);
+}
+PredicatePtr Lt(std::string column, Param param) {
+  return Cmp(std::move(column), CmpOp::kLt, param);
+}
+PredicatePtr Le(std::string column, Param param) {
+  return Cmp(std::move(column), CmpOp::kLe, param);
+}
+PredicatePtr Gt(std::string column, Param param) {
+  return Cmp(std::move(column), CmpOp::kGt, param);
+}
+PredicatePtr Ge(std::string column, Param param) {
+  return Cmp(std::move(column), CmpOp::kGe, param);
+}
 
 PredicatePtr Between(std::string column, Value lo, Value hi) {
   // Take an explicit copy: evaluation order of the two arguments below is
@@ -233,21 +334,28 @@ PredicatePtr Between(std::string column, Value lo, Value hi) {
 }
 
 PredicatePtr And(std::vector<PredicatePtr> children) {
-  return std::make_shared<AndPredicate>(std::move(children));
+  return std::make_shared<Predicate>(Predicate::Kind::kAnd,
+                                     std::move(children));
 }
 PredicatePtr And(PredicatePtr a, PredicatePtr b) {
   return And(std::vector<PredicatePtr>{std::move(a), std::move(b)});
 }
 PredicatePtr Or(std::vector<PredicatePtr> children) {
-  return std::make_shared<OrPredicate>(std::move(children));
+  return std::make_shared<Predicate>(Predicate::Kind::kOr,
+                                     std::move(children));
 }
 PredicatePtr Or(PredicatePtr a, PredicatePtr b) {
   return Or(std::vector<PredicatePtr>{std::move(a), std::move(b)});
 }
 PredicatePtr Not(PredicatePtr child) {
-  return std::make_shared<NotPredicate>(std::move(child));
+  std::vector<PredicatePtr> children{std::move(child)};
+  return std::make_shared<Predicate>(Predicate::Kind::kNot,
+                                     std::move(children));
 }
 
-PredicatePtr True() { return std::make_shared<TruePredicate>(); }
+PredicatePtr True() {
+  return std::make_shared<Predicate>(Predicate::Kind::kTrue,
+                                     std::vector<PredicatePtr>{});
+}
 
 }  // namespace cwf::db

@@ -1,5 +1,7 @@
 #include "db/schema.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace cwf::db {
@@ -72,6 +74,58 @@ Status Schema::CheckRow(const Row& row) const {
     }
   }
   return Status::OK();
+}
+
+void Schema::Widen(Row* row) const {
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if (columns_[i].type != ColumnType::kDouble) {
+      continue;
+    }
+    Value& cell = (*row)[i];
+    if (cell.is_int()) {
+      cell = Value(static_cast<double>(cell.AsInt()));
+    } else if (cell.is_double() && std::isnan(cell.AsDouble())) {
+      cell = Value(std::numeric_limits<double>::quiet_NaN());
+    }
+  }
+}
+
+const Value* Schema::Coerce(size_t i, const Value& value,
+                            Value* scratch) const {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  switch (columns_[i].type) {
+    case ColumnType::kInt64:
+      if (value.is_int()) {
+        return &value;
+      }
+      if (value.is_double()) {
+        const double d = value.AsDouble();
+        if (d >= -kTwo63 && d < kTwo63 && std::trunc(d) == d) {
+          *scratch = Value(static_cast<int64_t>(d));
+          return scratch;
+        }
+      }
+      return nullptr;
+    case ColumnType::kDouble:
+      if (value.is_double()) {
+        return std::isnan(value.AsDouble()) ? nullptr : &value;
+      }
+      if (value.is_int()) {
+        const int64_t n = value.AsInt();
+        const auto d = static_cast<double>(n);
+        // Exact iff the double converts back to n; 2^63 does not fit.
+        if (d < kTwo63 && static_cast<int64_t>(d) == n) {
+          *scratch = Value(d);
+          return scratch;
+        }
+      }
+      return nullptr;
+    case ColumnType::kBool:
+      return value.is_bool() ? &value : nullptr;
+    case ColumnType::kString:
+      return value.is_string() ? &value : nullptr;
+  }
+  return nullptr;
 }
 
 std::string Schema::ToString() const {

@@ -45,6 +45,20 @@ class Schema {
   /// \brief Validate a full row against arity and column types.
   Status CheckRow(const Row& row) const;
 
+  /// \brief Bring a checked row to stored form: an int cell of a kDouble
+  /// column becomes a double, and a NaN the canonical quiet NaN. Every
+  /// column then holds cells of its own type (or null), so equal keys are
+  /// equal Values and an index finds what a scan finds.
+  void Widen(Row* row) const;
+
+  /// \brief `value` as a cell of column `i`'s type, for an index probe:
+  /// `&value` when it already has that type, `scratch` holding the
+  /// converted value for an int/double that converts exactly, and nullptr
+  /// when no cell of the column can equal it (null, NaN, a fractional or
+  /// out-of-range double on a kInt64 column, an int with no exact double
+  /// on a kDouble column, or another type).
+  const Value* Coerce(size_t i, const Value& value, Value* scratch) const;
+
   std::string ToString() const;
 
  private:

@@ -6,7 +6,6 @@
 #ifndef CONFLUENCE_DB_VALUE_H_
 #define CONFLUENCE_DB_VALUE_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "core/record.h"
@@ -17,19 +16,6 @@ using Value = ::cwf::Value;
 
 /// \brief A materialized tuple (cells in schema column order).
 using Row = std::vector<Value>;
-
-/// \brief Hash functor for composite keys (index lookups).
-struct ValueVectorHash {
-  size_t operator()(const std::vector<Value>& values) const;
-};
-
-/// \brief Equality functor matching ValueVectorHash.
-struct ValueVectorEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    return a == b;
-  }
-};
 
 }  // namespace cwf::db
 

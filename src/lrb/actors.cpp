@@ -1,17 +1,27 @@
 #include "lrb/actors.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 
 namespace cwf::lrb {
 namespace {
 
 using db::AggKind;
 using db::ColumnType;
+using db::Param;
 using db::Row;
 
-Token MakeAccidentToken(const PositionReport& a, const PositionReport& b) {
+/// An empty record with room for every field of `port`'s layout.
+std::shared_ptr<Record> NewOutputRecord(const OutputPort* port) {
   auto rec = std::make_shared<Record>();
+  if (const RecordSchemaPtr& layout = port->schema().record_schema()) {
+    rec->Reserve(layout->size());
+  }
+  return rec;
+}
+
+Token MakeAccidentToken(const OutputPort* port, const PositionReport& a,
+                        const PositionReport& b) {
+  auto rec = NewOutputRecord(port);
   rec->Set("time", Value(std::max(a.time, b.time)));
   rec->Set("xway", Value(a.xway));
   rec->Set("dir", Value(a.dir));
@@ -61,6 +71,14 @@ RecordSchema TollSchema() {
   return s;
 }
 
+/// "xway = ?0 AND dir = ?1 AND seg = ?2" on `table`: the segment lookup of
+/// segmentStatistics (and the prefix of the LAV query).
+Result<db::PreparedQuery> PrepareSegmentLookup(const db::Table* table) {
+  return table->Prepare(db::And({db::Eq("xway", Param(0)),
+                                 db::Eq("dir", Param(1)),
+                                 db::Eq("seg", Param(2))}));
+}
+
 }  // namespace
 
 Result<std::shared_ptr<db::Database>> CreateLRBDatabase() {
@@ -108,22 +126,37 @@ Result<std::shared_ptr<db::Database>> CreateLRBDatabase() {
   return database;
 }
 
-Result<bool> AccidentInScope(db::Table* accidents, int64_t xway, int64_t dir,
-                             int64_t seg, int64_t since_seconds) {
+Status AccidentScope::Prepare(const db::Table* accidents) {
+  // Predicates are immutable, so one statement serves every preparation
+  // (and the one-shot AccidentInScope does not rebuild it per call).
+  static const db::PredicatePtr statement =
+      db::And({db::Eq("xway", Param(0)), db::Eq("dir", Param(1)),
+               db::Ge("seg", Param(2)), db::Le("seg", Param(3)),
+               db::Ge("timestamp", Param(4))});
+  CWF_ASSIGN_OR_RETURN(query_, accidents->Prepare(statement));
+  table_ = accidents;
+  return Status::OK();
+}
+
+Result<bool> AccidentScope::InScope(int64_t xway, int64_t dir, int64_t seg,
+                                    int64_t since_seconds) const {
   // The paper's proximity predicate (its toll SQL): for dir==1 the car's
   // segment lies in [accident, accident+4], i.e. the accident is in
   // [seg-4, seg]; for dir==0 the accident is in [seg, seg+4] — four
   // segments down the road — and registered within the last minute.
   const int64_t lo = dir == 1 ? seg - kAccidentNotifySegments : seg;
   const int64_t hi = dir == 1 ? seg : seg + kAccidentNotifySegments;
-  auto pred = db::And({db::Eq("xway", Value(xway)), db::Eq("dir", Value(dir)),
-                       db::Ge("seg", Value(lo)), db::Le("seg", Value(hi)),
-                       db::Ge("timestamp", Value(since_seconds))});
-  auto count = accidents->Aggregate(AggKind::kCount, "", pred);
-  if (!count.ok()) {
-    return count.status();
-  }
-  return count.value().AsInt() > 0;
+  const Value params[] = {Value(xway), Value(dir), Value(lo), Value(hi),
+                          Value(since_seconds)};
+  CWF_ASSIGN_OR_RETURN(size_t count, table_->Count(query_, params));
+  return count > 0;
+}
+
+Result<bool> AccidentInScope(db::Table* accidents, int64_t xway, int64_t dir,
+                             int64_t seg, int64_t since_seconds) {
+  AccidentScope scope;
+  CWF_RETURN_NOT_OK(scope.Prepare(accidents));
+  return scope.InScope(xway, dir, seg, since_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,7 +213,7 @@ Status AccidentDetector::Fire() {
   if (a.car == b.car || a.lane == kExitLane || b.lane == kExitLane) {
     return Status::OK();
   }
-  Send(out_, MakeAccidentToken(a, b));
+  Send(out_, MakeAccidentToken(out_, a, b));
   return Status::OK();
 }
 
@@ -194,6 +227,8 @@ InsertAccident::InsertAccident(std::string name, db::Database* database)
 Status InsertAccident::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
   CWF_ASSIGN_OR_RETURN(table_, database_->GetTable(kTableAccidents));
+  CWF_ASSIGN_OR_RETURN(upsert_, table_->PrepareUpsert(
+                                    {"xway", "dir", "seg", "car1", "car2"}));
   return Status::OK();
 }
 
@@ -215,8 +250,7 @@ Status InsertAccident::Fire() {
                rec->GetOr("seg", Value(0)), rec->GetOr("pos", Value(0)),
                rec->GetOr("car1", Value(0)), rec->GetOr("car2", Value(0)),
                Value(detected_at)};
-    auto upserted =
-        table_->Upsert({"xway", "dir", "seg", "car1", "car2"}, std::move(row));
+    auto upserted = table_->Upsert(upsert_, std::move(row));
     if (!upserted.ok()) {
       return upserted.status();
     }
@@ -238,8 +272,9 @@ AccidentNotifier::AccidentNotifier(std::string name, db::Database* database)
 
 Status AccidentNotifier::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
-  CWF_ASSIGN_OR_RETURN(table_, database_->GetTable(kTableAccidents));
-  return Status::OK();
+  CWF_ASSIGN_OR_RETURN(db::Table * accidents,
+                       database_->GetTable(kTableAccidents));
+  return scope_.Prepare(accidents);
 }
 
 Status AccidentNotifier::Fire() {
@@ -252,12 +287,12 @@ Status AccidentNotifier::Fire() {
     if (r.lane == kExitLane) {
       continue;
     }
-    auto hit = AccidentInScope(table_, r.xway, r.dir, r.seg, r.time - 60);
+    auto hit = scope_.InScope(r.xway, r.dir, r.seg, r.time - 60);
     if (!hit.ok()) {
       return hit.status();
     }
     if (hit.value()) {
-      auto rec = std::make_shared<Record>();
+      auto rec = NewOutputRecord(out_);
       rec->Set("car", Value(r.car));
       rec->Set("time", Value(r.time));
       rec->Set("xway", Value(r.xway));
@@ -293,7 +328,7 @@ Status AvgsvActor::Fire() {
     sum += e.token.Field(kFieldSpeed).AsDouble();
   }
   const PositionReport r = PositionReport::FromToken(w->events[0].token);
-  auto rec = std::make_shared<Record>();
+  auto rec = NewOutputRecord(out_);
   rec->Set("car", Value(r.car));
   rec->Set("xway", Value(r.xway));
   rec->Set("dir", Value(r.dir));
@@ -319,6 +354,17 @@ Status AvgsActor::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
   CWF_ASSIGN_OR_RETURN(avg_table_, database_->GetTable(kTableSegmentAvgSpeed));
   CWF_ASSIGN_OR_RETURN(stats_table_, database_->GetTable(kTableSegmentStats));
+  CWF_ASSIGN_OR_RETURN(avg_speed_column_,
+                       avg_table_->schema().ColumnIndex("avg_speed"));
+  CWF_ASSIGN_OR_RETURN(
+      lav_query_,
+      avg_table_->Prepare(db::And({db::Eq("xway", Param(0)),
+                                   db::Eq("dir", Param(1)),
+                                   db::Eq("seg", Param(2)),
+                                   db::Ge("minute", Param(3))})));
+  CWF_ASSIGN_OR_RETURN(stats_lookup_, PrepareSegmentLookup(stats_table_));
+  CWF_ASSIGN_OR_RETURN(stats_upsert_,
+                       stats_table_->PrepareUpsert({"xway", "dir", "seg"}));
   return Status::OK();
 }
 
@@ -347,34 +393,30 @@ Status AvgsActor::Fire() {
   }
 
   // LAV = average of the per-minute averages over the last five minutes.
-  auto lav = avg_table_->Aggregate(
-      AggKind::kAvg, "avg_speed",
-      db::And({db::Eq("xway", Value(xway)), db::Eq("dir", Value(dir)),
-               db::Eq("seg", Value(seg)),
-               db::Ge("minute", Value(minute - 4))}));
+  // Parameters: the segment key, then the oldest minute.
+  const Value params[] = {Value(xway), Value(dir), Value(seg),
+                          Value(minute - 4)};
+  auto lav = avg_table_->Aggregate(AggKind::kAvg, avg_speed_column_,
+                                   lav_query_, params);
   if (!lav.ok()) {
     return lav.status();
   }
   const double lav_value = lav.value().is_null() ? avg : lav.value().AsDouble();
 
   // Refresh segmentStatistics, keeping the existing car count.
-  auto existing = stats_table_->SelectOne(
-      db::And({db::Eq("xway", Value(xway)), db::Eq("dir", Value(dir)),
-               db::Eq("seg", Value(seg))}));
+  auto existing = stats_table_->SelectOne(stats_lookup_, params, &row_);
   if (!existing.ok()) {
     return existing.status();
   }
-  const Value cars = existing.value().has_value() ? (*existing.value())[4]
-                                                  : Value(int64_t{0});
+  const Value cars = existing.value() ? row_[4] : Value(int64_t{0});
   auto upsert = stats_table_->Upsert(
-      {"xway", "dir", "seg"},
-      {Value(xway), Value(dir), Value(seg), Value(lav_value), cars,
-       Value(minute)});
+      stats_upsert_, {Value(xway), Value(dir), Value(seg), Value(lav_value),
+                      cars, Value(minute)});
   if (!upsert.ok()) {
     return upsert.status();
   }
 
-  auto rec = std::make_shared<Record>();
+  auto rec = NewOutputRecord(out_);
   rec->Set("xway", Value(xway));
   rec->Set("dir", Value(dir));
   rec->Set("seg", Value(seg));
@@ -398,6 +440,9 @@ CarCountActor::CarCountActor(std::string name, db::Database* database)
 Status CarCountActor::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
   CWF_ASSIGN_OR_RETURN(stats_table_, database_->GetTable(kTableSegmentStats));
+  CWF_ASSIGN_OR_RETURN(stats_lookup_, PrepareSegmentLookup(stats_table_));
+  CWF_ASSIGN_OR_RETURN(stats_upsert_,
+                       stats_table_->PrepareUpsert({"xway", "dir", "seg"}));
   return Status::OK();
 }
 
@@ -406,33 +451,33 @@ Status CarCountActor::Fire() {
   if (!w.has_value() || w->empty()) {
     return Status::OK();
   }
-  std::set<int64_t> cars;
+  // Distinct cars: sort and dedup a buffer kept across firings.
+  cars_.clear();
   int64_t minute = 0;
   for (const CWEvent& e : w->events) {
-    cars.insert(e.token.Field(kFieldCar).AsInt());
+    cars_.push_back(e.token.Field(kFieldCar).AsInt());
     minute = std::max(minute, e.token.Field(kFieldTime).AsInt() / 60);
   }
+  std::sort(cars_.begin(), cars_.end());
+  const auto count = static_cast<int64_t>(
+      std::unique(cars_.begin(), cars_.end()) - cars_.begin());
   const PositionReport r = PositionReport::FromToken(w->events[0].token);
-  const int64_t count = static_cast<int64_t>(cars.size());
 
   // Keep the existing LAV; refresh the car count of the (previous) minute.
-  auto existing = stats_table_->SelectOne(
-      db::And({db::Eq("xway", Value(r.xway)), db::Eq("dir", Value(r.dir)),
-               db::Eq("seg", Value(r.seg))}));
+  const Value key[] = {Value(r.xway), Value(r.dir), Value(r.seg)};
+  auto existing = stats_table_->SelectOne(stats_lookup_, key, &row_);
   if (!existing.ok()) {
     return existing.status();
   }
-  const Value lav = existing.value().has_value() ? (*existing.value())[3]
-                                                 : Value(100.0);
+  const Value lav = existing.value() ? row_[3] : Value(100.0);
   auto upsert = stats_table_->Upsert(
-      {"xway", "dir", "seg"},
-      {Value(r.xway), Value(r.dir), Value(r.seg), lav, Value(count),
-       Value(minute)});
+      stats_upsert_, {Value(r.xway), Value(r.dir), Value(r.seg), lav,
+                      Value(count), Value(minute)});
   if (!upsert.ok()) {
     return upsert.status();
   }
 
-  auto rec = std::make_shared<Record>();
+  auto rec = NewOutputRecord(out_);
   rec->Set("xway", Value(r.xway));
   rec->Set("dir", Value(r.dir));
   rec->Set("seg", Value(r.seg));
@@ -458,9 +503,10 @@ TollCalculator::TollCalculator(std::string name, db::Database* database)
 Status TollCalculator::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
   CWF_ASSIGN_OR_RETURN(stats_table_, database_->GetTable(kTableSegmentStats));
-  CWF_ASSIGN_OR_RETURN(accidents_table_,
+  CWF_ASSIGN_OR_RETURN(stats_lookup_, PrepareSegmentLookup(stats_table_));
+  CWF_ASSIGN_OR_RETURN(db::Table * accidents,
                        database_->GetTable(kTableAccidents));
-  return Status::OK();
+  return scope_.Prepare(accidents);
 }
 
 Status TollCalculator::Fire() {
@@ -476,29 +522,26 @@ Status TollCalculator::Fire() {
   }
 
   // The paper's toll SQL against segmentStatistics + accidentInSegment.
-  auto row = stats_table_->SelectOne(
-      db::And({db::Eq("xway", Value(curr.xway)), db::Eq("dir", Value(curr.dir)),
-               db::Eq("seg", Value(curr.seg))}));
-  if (!row.ok()) {
-    return row.status();
+  const Value key[] = {Value(curr.xway), Value(curr.dir), Value(curr.seg)};
+  auto found = stats_table_->SelectOne(stats_lookup_, key, &row_);
+  if (!found.ok()) {
+    return found.status();
   }
   double lav = 100.0;
   int64_t cars = 0;
-  if (row.value().has_value()) {
-    const Row& r = *row.value();
-    lav = r[3].is_null() ? 100.0 : r[3].AsDouble();
-    cars = r[4].is_null() ? 0 : r[4].AsInt();
+  if (found.value()) {
+    lav = row_[3].is_null() ? 100.0 : row_[3].AsDouble();
+    cars = row_[4].is_null() ? 0 : row_[4].AsInt();
   }
   auto accident =
-      AccidentInScope(accidents_table_, curr.xway, curr.dir, curr.seg,
-                      curr.time - 60);
+      scope_.InScope(curr.xway, curr.dir, curr.seg, curr.time - 60);
   if (!accident.ok()) {
     return accident.status();
   }
   const double toll = ComputeToll(lav, cars, accident.value());
   ++tolls_;
 
-  auto rec = std::make_shared<Record>();
+  auto rec = NewOutputRecord(out_);
   rec->Set("car", Value(curr.car));
   rec->Set("time", Value(curr.time));
   rec->Set("xway", Value(curr.xway));

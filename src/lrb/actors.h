@@ -10,6 +10,7 @@
 #define CONFLUENCE_LRB_ACTORS_H_
 
 #include <memory>
+#include <vector>
 
 #include "core/actor.h"
 #include "db/database.h"
@@ -24,6 +25,29 @@ inline constexpr const char* kTableAccidents = "accidentInSegment";
 
 /// \brief Create the two LRB relations with their indexes.
 Result<std::shared_ptr<db::Database>> CreateLRBDatabase();
+
+/// \brief The accident-proximity query (the paper's toll SQL) prepared on
+/// accidentInSegment: is an accident registered within
+/// `kAccidentNotifySegments` downstream of (xway, dir, seg) with a
+/// bookkeeping timestamp >= `since` seconds? Shared by AccidentNotifier and
+/// TollCalculator, which prepare it at Initialize.
+class AccidentScope {
+ public:
+  Status Prepare(const db::Table* accidents);
+
+  /// \brief Run the prepared query; allocates nothing.
+  Result<bool> InScope(int64_t xway, int64_t dir, int64_t seg,
+                       int64_t since_seconds) const;
+
+ private:
+  const db::Table* table_ = nullptr;
+  db::PreparedQuery query_;
+};
+
+/// \brief One-shot AccidentScope: prepares the query, then runs it. For
+/// tools and tests; an actor prepares once at Initialize.
+Result<bool> AccidentInScope(db::Table* accidents, int64_t xway, int64_t dir,
+                             int64_t seg, int64_t since_seconds);
 
 /// \brief Detects stopped cars: window {Size: 4 tokens, Step: 1 token,
 /// Group-by: car}. If all four reports of a car show the same position (and
@@ -77,6 +101,7 @@ class InsertAccident : public Actor {
  private:
   db::Database* database_;
   db::Table* table_ = nullptr;
+  db::PreparedUpsert upsert_;
   InputPort* in_;
   uint64_t recorded_ = 0;
 };
@@ -96,7 +121,7 @@ class AccidentNotifier : public Actor {
 
  private:
   db::Database* database_;
-  db::Table* table_ = nullptr;
+  AccidentScope scope_;
   InputPort* in_;
   OutputPort* out_;
 };
@@ -135,6 +160,12 @@ class AvgsActor : public Actor {
   db::Database* database_;
   db::Table* avg_table_ = nullptr;
   db::Table* stats_table_ = nullptr;
+  size_t avg_speed_column_ = 0;
+  /// Statements prepared at Initialize, and the row SelectOne copies into.
+  db::PreparedQuery lav_query_;
+  db::PreparedQuery stats_lookup_;
+  db::PreparedUpsert stats_upsert_;
+  db::Row row_;
   InputPort* in_;
   OutputPort* out_;
 };
@@ -155,6 +186,10 @@ class CarCountActor : public Actor {
  private:
   db::Database* database_;
   db::Table* stats_table_ = nullptr;
+  db::PreparedQuery stats_lookup_;
+  db::PreparedUpsert stats_upsert_;
+  db::Row row_;
+  std::vector<int64_t> cars_;
   InputPort* in_;
   OutputPort* out_;
 };
@@ -178,17 +213,13 @@ class TollCalculator : public Actor {
  private:
   db::Database* database_;
   db::Table* stats_table_ = nullptr;
-  db::Table* accidents_table_ = nullptr;
+  db::PreparedQuery stats_lookup_;
+  db::Row row_;
+  AccidentScope scope_;
   InputPort* in_;
   OutputPort* out_;
   uint64_t tolls_ = 0;
 };
-
-/// \brief Whether an accident is registered within `kAccidentNotifySegments`
-/// downstream of (xway, dir, seg) with a bookkeeping timestamp >= `since`
-/// seconds. Shared by AccidentNotifier and TollCalculator.
-Result<bool> AccidentInScope(db::Table* accidents, int64_t xway, int64_t dir,
-                             int64_t seg, int64_t since_seconds);
 
 }  // namespace cwf::lrb
 

@@ -77,6 +77,47 @@ TEST(TableConcurrencyTest, ParallelInsertDeleteKeepsCountsSane) {
             inserted.load() - deleted.load());
 }
 
+// PNCWF actors share tables and may share prepared statements: one
+// PreparedQuery (and one PreparedUpsert) executed from several threads at
+// once, each with its own parameters, while writers change the rows.
+TEST(TableConcurrencyTest, SharedPreparedStatementsAcrossThreads) {
+  Table table("t", Schema({{"k", ColumnType::kInt64},
+                           {"v", ColumnType::kDouble}}));
+  ASSERT_TRUE(table.CreateIndex("pk", {"k"}, true).ok());
+  const PreparedQuery lookup = table.Prepare(Eq("k", Param(0))).value();
+  const PreparedQuery range =
+      table.Prepare(And(Ge("k", Param(0)), Lt("k", Param(1)))).value();
+  const PreparedUpsert upsert = table.PrepareUpsert({"k"}).value();
+  constexpr int kKeys = 32;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Row row;
+      for (int i = 0; i < 2000; ++i) {
+        const auto k = static_cast<int64_t>((t * 5 + i) % kKeys);
+        if (t % 2 == 0) {
+          // An int cell for the DOUBLE column is widened on the way in.
+          failures += !table.Upsert(upsert, {Value(k), Value(int64_t{i})}).ok();
+          continue;
+        }
+        const Value key[] = {Value(k), Value(k + 4)};
+        auto found = table.SelectOne(lookup, key, &row);
+        failures += !found.ok() || (found.value() && row[1].is_int());
+        auto n = table.Count(range, key);
+        failures += !n.ok() || n.value() > 4;
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(table.RowCount(), static_cast<size_t>(kKeys));
+  const Value all[] = {Value(int64_t{0}), Value(int64_t{kKeys})};
+  EXPECT_EQ(table.Count(range, all).value(), static_cast<size_t>(kKeys));
+}
+
 // Regression (thread-safety sweep): index_lookups()/full_scans() read the
 // mutable access-path counters that every Select mutates under the table
 // lock — the accessors themselves must lock too, or TSan flags the read.

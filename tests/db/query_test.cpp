@@ -89,17 +89,28 @@ TEST(PredicateTest, BindRejectsUnknownColumn) {
   EXPECT_FALSE(And(Eq("a", Value(1)), Eq("zzz", Value(1)))->Bind(schema).ok());
 }
 
-TEST(PredicateTest, CollectEqualitiesFromConjunctions) {
-  auto p = And({Eq("a", Value(1)), Eq("s", Value("x")), Gt("b", Value(0))});
-  std::vector<std::pair<std::string, Value>> eqs;
-  p->CollectEqualities(&eqs);
-  ASSERT_EQ(eqs.size(), 2u);
-  EXPECT_EQ(eqs[0].first, "a");
-  EXPECT_EQ(eqs[1].first, "s");
-  // OR does not expose equalities (a disjunct may not hold).
-  std::vector<std::pair<std::string, Value>> none;
-  Or(Eq("a", Value(1)), Eq("a", Value(2)))->CollectEqualities(&none);
-  EXPECT_TRUE(none.empty());
+TEST(PredicateTest, OnlyConjunctionEqualitiesPickAnIndex) {
+  Table t("t", S());
+  ASSERT_TRUE(t.CreateIndex("by_a_s", {"a", "s"}).ok());
+  // Equalities inside (nested) conjunctions pin the index columns.
+  auto pinned = t.Prepare(And(
+      {Eq("a", Value(1)), And(Eq("s", Value("x")), Gt("b", Value(0)))}));
+  ASSERT_TRUE(pinned.ok());
+  EXPECT_TRUE(pinned.value().uses_index());
+  // A parameter slot pins as well as a constant.
+  auto param = t.Prepare(And(Eq("a", Param(0)), Eq("s", Param(1))));
+  ASSERT_TRUE(param.ok());
+  EXPECT_TRUE(param.value().uses_index());
+  EXPECT_EQ(param.value().param_count(), 2u);
+  // OR does not pin (a disjunct may not hold), nor does one column alone.
+  EXPECT_FALSE(t.Prepare(Or(And(Eq("a", Value(1)), Eq("s", Value("x"))),
+                            Eq("a", Value(2))))
+                   .value()
+                   .uses_index());
+  EXPECT_FALSE(t.Prepare(Eq("a", Value(1))).value().uses_index());
+  EXPECT_FALSE(t.Prepare(And(Eq("a", Value(1)), Ge("s", Value("x"))))
+                   .value()
+                   .uses_index());
 }
 
 TEST(PredicateTest, ToStringIsReadable) {

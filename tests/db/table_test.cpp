@@ -158,6 +158,57 @@ TEST(TableTest, IndexStaysConsistentAcrossUpdateDelete) {
   EXPECT_EQ(t->RowCount(), 10u);
 }
 
+TEST(TableTest, IndexDoesNotChangeResults) {
+  // The same rows in an indexed and an unindexed table: every predicate
+  // must select the same rows from both. An int cell of the DOUBLE column
+  // is stored as a double, and a probe value is converted to the column's
+  // type; one with no exact value in it (7.5 on an INT64 column, null)
+  // matches nothing, as in the scan.
+  auto make = [](bool indexed) {
+    auto t = std::make_unique<Table>(
+        "t", Schema({{"k", ColumnType::kInt64},
+                     {"d", ColumnType::kDouble},
+                     {"s", ColumnType::kString}}));
+    if (indexed) {
+      CWF_CHECK(t->CreateIndex("by_k", {"k"}).ok());
+      CWF_CHECK(t->CreateIndex("by_d", {"d"}).ok());
+      CWF_CHECK(t->CreateIndex("by_s", {"s"}).ok());
+    }
+    const std::vector<Row> rows = {{Value(7), Value(3), Value("a")},
+                                   {Value(7), Value(3.0), Value("b")},
+                                   {Value(8), Value(2.5), Value()},
+                                   {Value(), Value(), Value("a")},
+                                   {Value(9), Value(7.0), Value("c")}};
+    for (const Row& row : rows) {
+      CWF_CHECK(t->Insert(row).ok());
+    }
+    return t;
+  };
+  auto indexed = make(true);
+  auto plain = make(false);
+  const std::vector<std::pair<PredicatePtr, size_t>> cases = {
+      {Eq("d", Value(3.0)), 2},      {Eq("d", Value(3)), 2},
+      {Eq("k", Value(7.0)), 2},      {Eq("k", Value(7)), 2},
+      {Eq("k", Value(7.5)), 0},      {Eq("d", Value(7)), 1},
+      {Eq("d", Value(2.5)), 1},      {Eq("k", Value()), 0},
+      {Eq("d", Value()), 0},         {Eq("k", Value("7")), 0},
+      {Eq("s", Value("a")), 2},      {Eq("s", Value(1)), 0},
+      {Eq("k", Value(9.0)), 1},      {Eq("d", Value(true)), 0},
+  };
+  for (const auto& [predicate, expected] : cases) {
+    SCOPED_TRACE(predicate->ToString());
+    const uint64_t lookups = indexed->index_lookups();
+    auto with_index = indexed->Select(predicate);
+    auto without = plain->Select(predicate);
+    ASSERT_TRUE(with_index.ok() && without.ok());
+    EXPECT_EQ(indexed->index_lookups(), lookups + 1);
+    EXPECT_EQ(with_index.value(), without.value());
+    EXPECT_EQ(with_index.value().size(), expected);
+  }
+  // The int 3 was stored as 3.0.
+  EXPECT_TRUE(plain->Select(Eq("s", Value("a"))).value()[0][1].is_double());
+}
+
 TEST(TableTest, Aggregates) {
   auto t = MakeTable();
   for (int64_t i = 1; i <= 4; ++i) {
