@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "core/schema.h"
+#include "lrb/types.h"
 #include "stream/push_channel.h"
+#include "stream/trace.h"
 #include "window/window_operator.h"
 
 namespace cwf {
@@ -26,11 +28,10 @@ CWEvent IntEvent(int64_t v, int64_t ts_us, uint64_t seq) {
 }
 
 CWEvent KeyedEvent(int64_t key, int64_t ts_us, uint64_t seq) {
-  auto rec = std::make_shared<Record>();
-  rec->Set("k", Value(key));
-  rec->Set("v", Value(static_cast<int64_t>(seq)));
+  // One layout for the stream, as a producer resolves it at Initialize.
+  static const RecordLayoutPtr layout = RecordLayout::Make({"k", "v"});
   CWEvent e;
-  e.token = Token(RecordPtr(std::move(rec)));
+  e.token = Token(BuildRecord(layout, key, static_cast<int64_t>(seq)));
   e.timestamp = Timestamp(ts_us);
   e.wave = WaveTag::Root(seq);
   e.last_in_wave = true;
@@ -89,20 +90,20 @@ void BM_GroupByWindowPut(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByWindowPut)->Arg(10)->Arg(1000)->Arg(100000);
 
-// A position-report-shaped record (8 fields; the group-by fields car, xway,
-// dir, seg sit at positions 1, 3, 5, 6 as in Linear Road).
+// A Linear Road position report (8 fields; the group-by fields car, xway,
+// dir, seg sit at positions 1, 3, 5, 6), built as the generator builds it.
 CWEvent ReportEvent(int64_t car, int64_t ts_us, uint64_t seq) {
-  auto rec = std::make_shared<Record>();
-  rec->Set("time", Value(ts_us / 1000000))
-      .Set("car", Value(car))
-      .Set("speed", Value(55.0))
-      .Set("xway", Value(car % 4))
-      .Set("lane", Value(int64_t{1}))
-      .Set("dir", Value(car % 2))
-      .Set("seg", Value(car % 100))
-      .Set("pos", Value(car * 7));
+  lrb::PositionReport report;
+  report.time = ts_us / 1000000;
+  report.car = car;
+  report.speed = 55.0;
+  report.xway = car % 4;
+  report.lane = 1;
+  report.dir = car % 2;
+  report.seg = car % 100;
+  report.pos = car * 7;
   CWEvent e;
-  e.token = Token(RecordPtr(std::move(rec)));
+  e.token = report.ToToken();
   e.timestamp = Timestamp(ts_us);
   e.wave = WaveTag::Root(seq);
   e.last_in_wave = true;
@@ -203,9 +204,9 @@ RecordPtr WideRecord(int64_t width) {
 }
 
 void BM_RecordGetByName(benchmark::State& state) {
-  // Linear scan with string comparison per access; the last field is the
-  // worst case and the one group-by/join key extraction hits for tuples
-  // whose key trails the payload.
+  // By-name lookup in the record's layout (a scan up to 8 fields, a hash
+  // probe beyond) plus the Result copy; the last field is the worst case
+  // of the scan.
   const int64_t width = state.range(0);
   RecordPtr rec = WideRecord(width);
   const std::string last = "field" + std::to_string(width - 1);
@@ -252,6 +253,89 @@ void BM_SchemaIndexOf(benchmark::State& state) {
   state.SetLabel(std::to_string(width) + " fields");
 }
 BENCHMARK(BM_SchemaIndexOf)->Arg(4)->Arg(16);
+
+// Building a position-report-shaped record (7 ints, 1 double): from a
+// layout resolved once (what every producer on the per-event path does),
+// against the ad-hoc Set() builder, which also builds the record's own
+// layout. Arg: 0 = BuildRecord, 1 = Set.
+void BM_RecordBuildFromLayout(benchmark::State& state) {
+  const bool by_set = state.range(0) == 1;
+  const RecordLayoutPtr layout = RecordLayout::Make(
+      {"time", "car", "speed", "xway", "lane", "dir", "seg", "pos"});
+  int64_t i = 0;
+  for (auto _ : state) {
+    ++i;
+    RecordPtr rec;
+    if (by_set) {
+      auto built = std::make_shared<Record>();
+      built->Set("time", i).Set("car", i).Set("speed", 55.5).Set("xway", 0);
+      built->Set("lane", 1).Set("dir", 0).Set("seg", 7).Set("pos", i);
+      rec = std::move(built);
+    } else {
+      rec = BuildRecord(layout, i, i, 55.5, 0, 1, 0, 7, i);
+    }
+    benchmark::DoNotOptimize(rec);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(by_set ? "Set" : "BuildRecord");
+}
+BENCHMARK(BM_RecordBuildFromLayout)->Arg(0)->Arg(1);
+
+// FieldPosition::Find over a stream of records: all of one layout (one
+// pointer comparison per read), or alternating between two layouts with
+// the field at different positions (a name lookup and a cache refresh per
+// read). Arg: 0 = same layout, 1 = alternating.
+void BM_FieldPositionFind(benchmark::State& state) {
+  const bool alternate = state.range(0) == 1;
+  const RecordLayoutPtr ab = RecordLayout::Make({"a", "b", "c", "d"});
+  const RecordLayoutPtr ba = RecordLayout::Make({"d", "c", "b", "a"});
+  std::vector<RecordPtr> records;
+  for (int i = 0; i < 64; ++i) {
+    records.push_back(alternate && i % 2 == 1 ? BuildRecord(ba, 4, 3, 2, i)
+                                              : BuildRecord(ab, i, 2, 3, 4));
+  }
+  FieldPosition a("a");
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.Find(*records[next]));
+    next = (next + 1) % records.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(alternate ? "alternating layouts" : "same layout");
+}
+BENCHMARK(BM_FieldPositionFind)->Arg(0)->Arg(1);
+
+// Decoding a Linear Road report token: built by ToToken (the static layout,
+// positional), parsed from its trace body (same field order, another
+// layout), or with its fields in another order (lookup by name). Arg: 0 =
+// ToToken, 1 = parsed, 2 = reordered.
+void BM_PositionReportFromToken(benchmark::State& state) {
+  lrb::PositionReport report;
+  report.time = 61;
+  report.car = 7;
+  report.speed = 55.5;
+  report.seg = 12;
+  Token token = report.ToToken();
+  const char* label = "ToToken";
+  if (state.range(0) == 1) {
+    token = ParseTokenBody(SerializeTokenBody(token)).value();
+    label = "parsed";
+  } else if (state.range(0) == 2) {
+    auto reordered = std::make_shared<Record>();
+    const Record& rec = *token.AsRecord();
+    for (size_t i = rec.size(); i-- > 0;) {
+      reordered->Set(rec.NameAt(i), rec.ValueAt(i));
+    }
+    token = Token(RecordPtr(std::move(reordered)));
+    label = "reordered";
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lrb::PositionReport::FromToken(token));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(label);
+}
+BENCHMARK(BM_PositionReportFromToken)->Arg(0)->Arg(1)->Arg(2);
 
 // PushChannel deposit paths: per-tuple TryPush (one lock round-trip per
 // tuple) against TryPushBatch (one lock per batch) — the contrast the

@@ -3,23 +3,65 @@
 namespace cwf {
 
 // ---------------------------------------------------------------------------
+// RecordConcat
+// ---------------------------------------------------------------------------
+
+RecordPtr RecordConcat::Build(const Record& a, const RecordLayoutPtr& b_layout,
+                              const std::vector<Value>& b) {
+  if (a.layout() != a_ || b_layout != b_) {
+    Resolve(a.layout(), b_layout);
+  }
+  const size_t size = merged_ != nullptr ? merged_->size() : 0;
+  std::vector<Value> values;
+  values.reserve(size);
+  values.assign(a.values().begin(), a.values().end());
+  values.resize(size);
+  for (size_t j = 0; j < b.size(); ++j) {
+    values[b_target_[j]] = b[j];
+  }
+  return std::make_shared<const Record>(merged_, std::move(values));
+}
+
+void RecordConcat::Resolve(const RecordLayoutPtr& a,
+                           const RecordLayoutPtr& b) {
+  std::vector<std::string> names;
+  if (a != nullptr) {
+    names = a->names();
+  }
+  b_target_.clear();
+  const size_t b_size = b != nullptr ? b->size() : 0;
+  for (size_t j = 0; j < b_size; ++j) {
+    const int clash = a != nullptr ? a->IndexOf(b->name(j)) : -1;
+    if (clash >= 0) {
+      b_target_.push_back(static_cast<size_t>(clash));
+    } else {
+      b_target_.push_back(names.size());
+      names.push_back(b->name(j));
+    }
+  }
+  merged_ = names.empty() ? nullptr : RecordLayout::Make(std::move(names));
+  a_ = a;
+  b_ = b;
+}
+
+// ---------------------------------------------------------------------------
 // KeyedJoinActor
 // ---------------------------------------------------------------------------
 
 KeyedJoinActor::KeyedJoinActor(std::string name,
                                std::vector<std::string> key_fields,
                                size_t max_buffer_per_key)
-    : Actor(std::move(name)),
-      key_fields_(std::move(key_fields)),
-      max_buffer_per_key_(max_buffer_per_key) {
-  CWF_CHECK_MSG(!key_fields_.empty(), "join needs at least one key field");
+    : Actor(std::move(name)), max_buffer_per_key_(max_buffer_per_key) {
+  CWF_CHECK_MSG(!key_fields.empty(), "join needs at least one key field");
   CWF_CHECK_MSG(max_buffer_per_key_ > 0, "join buffer must hold >= 1 event");
   left_ = AddInputPort("left");
   right_ = AddInputPort("right");
   out_ = AddOutputPort("out");
   RecordSchema keys;
-  for (const std::string& field : key_fields_) {
+  for (const std::string& field : key_fields) {
     keys.Field(field, ScalarType::Any());
+    left_keys_.emplace_back(field);
+    right_keys_.emplace_back(field);
   }
   left_->set_required_schema(TokenType::Record(keys));
   right_->set_required_schema(TokenType::Record(std::move(keys)));
@@ -30,20 +72,20 @@ Result<bool> KeyedJoinActor::Prefire() {
 }
 
 Result<KeyedJoinActor::Key> KeyedJoinActor::ExtractKey(
-    const Token& token) const {
+    const Token& token, std::vector<FieldPosition>* key_fields) {
   if (!token.is_record()) {
     return Status::InvalidArgument("join requires record tokens, got " +
                                    token.ToString());
   }
   Key key;
-  key.reserve(key_fields_.size());
-  for (const std::string& field : key_fields_) {
-    auto value = token.AsRecord()->Get(field);
-    if (!value.ok()) {
-      return Status::InvalidArgument("join key field '" + field +
+  key.reserve(key_fields->size());
+  for (FieldPosition& field : *key_fields) {
+    const Value* value = field.Find(*token.AsRecord());
+    if (value == nullptr) {
+      return Status::InvalidArgument("join key field '" + field.name() +
                                      "' missing from " + token.ToString());
     }
-    key.push_back(std::move(value).value());
+    key.push_back(*value);
   }
   return key;
 }
@@ -57,22 +99,18 @@ Status KeyedJoinActor::Consume(
       break;
     }
     for (const CWEvent& e : w->events) {
-      CWF_ASSIGN_OR_RETURN(Key key, ExtractKey(e.token));
+      CWF_ASSIGN_OR_RETURN(
+          Key key,
+          ExtractKey(e.token, own_is_left ? &left_keys_ : &right_keys_));
       // Probe the opposite buffer.
       auto it = other.find(key);
       if (it != other.end()) {
         for (const Token& partner : it->second) {
-          auto merged = std::make_shared<Record>();
-          const Token& left_tok = own_is_left ? e.token : partner;
-          const Token& right_tok = own_is_left ? partner : e.token;
+          const Record& left = *(own_is_left ? e.token : partner).AsRecord();
+          const Record& right =
+              *(own_is_left ? partner : e.token).AsRecord();
           // Right side first so that left fields win name clashes.
-          for (const auto& [n, v] : right_tok.AsRecord()->fields()) {
-            merged->Set(n, v);
-          }
-          for (const auto& [n, v] : left_tok.AsRecord()->fields()) {
-            merged->Set(n, v);
-          }
-          Send(out_, Token(RecordPtr(std::move(merged))));
+          Send(out_, Token(concat_.Build(right, left.layout(), left.values())));
           ++matches_;
         }
       }
@@ -266,6 +304,10 @@ Status DbUpsertActor::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
   CWF_ASSIGN_OR_RETURN(table_, database_->GetTable(table_name_));
   CWF_ASSIGN_OR_RETURN(upsert_, table_->PrepareUpsert(key_columns_));
+  columns_.clear();
+  for (const db::Column& column : table_->schema().columns()) {
+    columns_.emplace_back(column.name);
+  }
   return Status::OK();
 }
 
@@ -274,15 +316,14 @@ Status DbUpsertActor::Fire() {
   if (!w.has_value()) {
     return Status::OK();
   }
-  const db::Schema& schema = table_->schema();
   for (const CWEvent& e : w->events) {
     if (!e.token.is_record()) {
       return Status::InvalidArgument("DbUpsertActor needs record tokens");
     }
     db::Row row;
-    row.reserve(schema.num_columns());
-    for (const auto& column : schema.columns()) {
-      row.push_back(e.token.AsRecord()->GetOr(column.name, Value()));
+    row.reserve(columns_.size());
+    for (FieldPosition& column : columns_) {
+      row.push_back(column.GetOr(*e.token.AsRecord(), Value()));
     }
     auto upserted = table_->Upsert(upsert_, std::move(row));
     if (!upserted.ok()) {
@@ -317,6 +358,11 @@ Status DbLookupActor::Initialize(ExecutionContext* ctx) {
   }
   CWF_ASSIGN_OR_RETURN(lookup_, table_->Prepare(db::And(std::move(eqs))));
   params_.assign(key_columns_.size(), Value());
+  std::vector<std::string> columns;
+  for (const db::Column& column : table_->schema().columns()) {
+    columns.push_back(column.name);
+  }
+  columns_layout_ = RecordLayout::Make(std::move(columns));
   return Status::OK();
 }
 
@@ -347,16 +393,9 @@ Status DbLookupActor::Fire() {
       Send(out_, e.token);  // pass through unmatched
       continue;
     }
-    const db::Schema& schema = table_->schema();
-    auto merged = std::make_shared<Record>();
-    merged->Reserve(rec.size() + schema.num_columns());
-    for (const auto& [n, v] : rec.fields()) {
-      merged->Set(n, v);
-    }
-    for (size_t c = 0; c < schema.num_columns(); ++c) {
-      merged->Set(schema.column(c).name, row_[c]);
-    }
-    Send(out_, Token(RecordPtr(std::move(merged))));
+    // The record's fields, then the row's; a column overwrites a field of
+    // the same name.
+    Send(out_, Token(concat_.Build(rec, columns_layout_, row_)));
     ++hits_;
   }
   return Status::OK();

@@ -16,6 +16,29 @@
 
 namespace cwf {
 
+/// \brief The concatenation of two record layouts: the first layout's
+/// fields in order, then the second's fields the first lacks; on a name
+/// clash the second side's value wins. Resolved once per pair of layouts,
+/// so merging two records of an already-seen pair copies values by
+/// position and compares no name.
+class RecordConcat {
+ public:
+  /// \brief The merge of record `a` with the values `b` of layout
+  /// `b_layout`.
+  RecordPtr Build(const Record& a, const RecordLayoutPtr& b_layout,
+                  const std::vector<Value>& b);
+
+ private:
+  void Resolve(const RecordLayoutPtr& a, const RecordLayoutPtr& b);
+
+  // The pair last resolved (held, so their addresses stay theirs); null
+  // and null to begin with, whose merge is the empty layout.
+  RecordLayoutPtr a_;
+  RecordLayoutPtr b_;
+  RecordLayoutPtr merged_;
+  std::vector<size_t> b_target_;  // merged_ position of each b_ field
+};
+
 /// \brief Symmetric keyed stream join.
 ///
 /// Events from the `left` and `right` ports are matched on the values of
@@ -48,12 +71,16 @@ class KeyedJoinActor : public Actor {
  private:
   using Key = std::vector<Value>;
 
-  Result<Key> ExtractKey(const Token& token) const;
+  Result<Key> ExtractKey(const Token& token,
+                         std::vector<FieldPosition>* key_fields);
   Status Consume(InputPort* in, std::map<Key, std::deque<Token>>* own,
                  const std::map<Key, std::deque<Token>>& other,
                  bool own_is_left);
 
-  std::vector<std::string> key_fields_;
+  // One set of key positions per side: each side's records share a layout.
+  std::vector<FieldPosition> left_keys_;
+  std::vector<FieldPosition> right_keys_;
+  RecordConcat concat_;
   size_t max_buffer_per_key_;
   InputPort* left_;
   InputPort* right_;
@@ -189,6 +216,8 @@ class DbUpsertActor : public Actor {
   db::Table* table_ = nullptr;
   /// The keyed upsert, prepared at Initialize.
   db::PreparedUpsert upsert_;
+  /// One per table column, in column order.
+  std::vector<FieldPosition> columns_;
   InputPort* in_;
   uint64_t rows_written_ = 0;
 };
@@ -226,6 +255,9 @@ class DbLookupActor : public Actor {
   std::vector<FieldPosition> key_fields_;
   std::vector<Value> params_;
   db::Row row_;
+  /// The table's column names, and the merge of a record with a row.
+  RecordLayoutPtr columns_layout_;
+  RecordConcat concat_;
   InputPort* in_;
   OutputPort* out_;
   uint64_t hits_ = 0;

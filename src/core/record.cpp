@@ -1,5 +1,6 @@
 #include "core/record.h"
 
+#include <cstdlib>
 #include <functional>
 #include <sstream>
 
@@ -7,19 +8,10 @@
 
 namespace cwf {
 
-int64_t Value::AsInt() const {
-  CWF_CHECK_MSG(is_int(), "Value is not an int: " << ToString()
-                                                  << CurrentActorContext());
-  return std::get<int64_t>(v_);
-}
-
-double Value::AsDouble() const {
-  if (is_int()) {
-    return static_cast<double>(std::get<int64_t>(v_));
-  }
-  CWF_CHECK_MSG(is_double(), "Value is not numeric: " << ToString()
-                                                      << CurrentActorContext());
-  return std::get<double>(v_);
+void Value::KindMismatch(const char* kind) const {
+  CWF_CHECK_MSG(false, "Value is not " << kind << ": " << ToString()
+                                       << CurrentActorContext());
+  std::abort();  // unreachable: the check above always fails
 }
 
 bool Value::AsBool() const {
@@ -86,85 +78,186 @@ std::string Value::ToString() const {
   return oss.str();
 }
 
-Record& Record::Set(std::string name, Value value) {
-  for (auto& [n, v] : fields_) {
-    if (n == name) {
-      v = std::move(value);
-      return *this;
+RecordLayoutPtr RecordLayout::Make(std::vector<std::string> names) {
+  auto layout = std::make_shared<RecordLayout>(Key());
+  layout->names_ = std::move(names);
+  layout->RebuildSlots();
+  for (size_t i = 0; i < layout->names_.size(); ++i) {
+    CWF_CHECK_MSG(layout->IndexOf(layout->names_[i]) == static_cast<int>(i),
+                  "record layout repeats field '" << layout->names_[i]
+                                                  << "'");
+  }
+  return layout;
+}
+
+void RecordLayout::Extend(RecordLayoutPtr* layout, std::string name) {
+  if (*layout == nullptr) {
+    *layout = Make({std::move(name)});
+    return;
+  }
+  CWF_CHECK_MSG((*layout)->IndexOf(name) < 0,
+                "record layout already has field '" << name << "'");
+  if (layout->use_count() == 1) {
+    // Sole owner: nobody else can observe the change. Every layout is
+    // created non-const (Make), so the cast is sound.
+    const_cast<RecordLayout&>(**layout).Append(std::move(name));
+    return;
+  }
+  auto grown = std::make_shared<RecordLayout>(Key());
+  grown->names_ = (*layout)->names_;
+  grown->Append(std::move(name));
+  *layout = std::move(grown);
+}
+
+void RecordLayout::Append(std::string name) {
+  names_.push_back(std::move(name));
+  if (names_.size() * 2 > slots_.size()) {
+    RebuildSlots();
+  } else {
+    InsertSlot(names_.size() - 1);
+  }
+}
+
+void RecordLayout::RebuildSlots() {
+  slots_.clear();
+  if (names_.size() <= kLinearMax) {
+    return;
+  }
+  size_t capacity = 32;
+  while (capacity < names_.size() * 2) {
+    capacity *= 2;
+  }
+  slots_.assign(capacity, 0);
+  for (size_t i = 0; i < names_.size(); ++i) {
+    InsertSlot(i);
+  }
+}
+
+void RecordLayout::InsertSlot(size_t index) {
+  const size_t mask = slots_.size() - 1;
+  size_t pos = std::hash<std::string_view>()(names_[index]) & mask;
+  while (slots_[pos] != 0) {
+    pos = (pos + 1) & mask;
+  }
+  slots_[pos] = static_cast<uint32_t>(index + 1);
+}
+
+int RecordLayout::IndexOf(std::string_view name) const {
+  if (slots_.empty()) {
+    for (size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] == name) {
+        return static_cast<int>(i);
+      }
     }
+    return -1;
   }
-  fields_.emplace_back(std::move(name), std::move(value));
-  return *this;
-}
-
-bool Record::Has(const std::string& name) const {
-  for (const auto& [n, v] : fields_) {
-    if (n == name) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Result<Value> Record::Get(const std::string& name) const {
-  for (const auto& [n, v] : fields_) {
-    if (n == name) {
-      return v;
-    }
-  }
-  return Status::NotFound("record has no field '" + name + "'");
-}
-
-const Value& Record::ValueAt(size_t index) const {
-  CWF_CHECK_MSG(index < fields_.size(),
-                "record field index " << index << " out of range (size "
-                                      << fields_.size() << ")"
-                                      << CurrentActorContext());
-  return fields_[index].second;
-}
-
-const std::string& Record::NameAt(size_t index) const {
-  CWF_CHECK_MSG(index < fields_.size(),
-                "record field index " << index << " out of range (size "
-                                      << fields_.size() << ")"
-                                      << CurrentActorContext());
-  return fields_[index].first;
-}
-
-int Record::IndexOf(std::string_view name, size_t hint) const {
-  if (hint < fields_.size() && fields_[hint].first == name) {
-    return static_cast<int>(hint);
-  }
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    if (fields_[i].first == name) {
-      return static_cast<int>(i);
+  const size_t mask = slots_.size() - 1;
+  for (size_t pos = std::hash<std::string_view>()(name) & mask;
+       slots_[pos] != 0; pos = (pos + 1) & mask) {
+    const size_t index = slots_[pos] - 1;
+    if (names_[index] == name) {
+      return static_cast<int>(index);
     }
   }
   return -1;
 }
 
-Value Record::GetOr(const std::string& name, Value fallback) const {
-  for (const auto& [n, v] : fields_) {
-    if (n == name) {
-      return v;
+Record::Record(RecordLayoutPtr layout, std::vector<Value> values)
+    : layout_(std::move(layout)), values_(std::move(values)) {
+  CWF_CHECK_MSG(values_.size() == (layout_ ? layout_->size() : 0),
+                values_.size() << " values for a layout of "
+                               << (layout_ ? layout_->size() : 0)
+                               << " fields" << CurrentActorContext());
+}
+
+Record& Record::Set(std::string_view name, Value value) {
+  const int index = IndexOf(name);
+  if (index >= 0) {
+    values_[static_cast<size_t>(index)] = std::move(value);
+    return *this;
+  }
+  RecordLayout::Extend(&layout_, std::string(name));
+  values_.push_back(std::move(value));
+  return *this;
+}
+
+Result<Value> Record::Get(std::string_view name) const {
+  const int index = IndexOf(name);
+  if (index < 0) {
+    return Status::NotFound("record has no field '" + std::string(name) +
+                            "'");
+  }
+  return values_[static_cast<size_t>(index)];
+}
+
+Value Record::GetOr(std::string_view name, Value fallback) const {
+  const int index = IndexOf(name);
+  return index < 0 ? std::move(fallback) : values_[static_cast<size_t>(index)];
+}
+
+const Value& Record::ValueAt(size_t index) const {
+  CWF_CHECK_MSG(index < values_.size(),
+                "record field index " << index << " out of range (size "
+                                      << values_.size() << ")"
+                                      << CurrentActorContext());
+  return values_[index];
+}
+
+const std::string& Record::NameAt(size_t index) const {
+  CWF_CHECK_MSG(index < values_.size(),
+                "record field index " << index << " out of range (size "
+                                      << values_.size() << ")"
+                                      << CurrentActorContext());
+  return layout_->name(index);
+}
+
+int Record::IndexOf(std::string_view name, size_t hint) const {
+  if (layout_ == nullptr) {
+    return -1;
+  }
+  if (hint < layout_->size() && layout_->name(hint) == name) {
+    return static_cast<int>(hint);
+  }
+  return layout_->IndexOf(name);
+}
+
+bool Record::operator==(const Record& o) const {
+  if (values_ != o.values_) {
+    return false;
+  }
+  if (layout_ == o.layout_) {
+    return true;
+  }
+  for (size_t i = 0; i < values_.size(); ++i) {
+    if (layout_->name(i) != o.layout_->name(i)) {
+      return false;
     }
   }
-  return fallback;
+  return true;
 }
 
 std::string Record::ToString() const {
   std::ostringstream oss;
   oss << "{";
-  bool first = true;
-  for (const auto& [n, v] : fields_) {
-    if (!first) {
+  for (size_t i = 0; i < values_.size(); ++i) {
+    if (i > 0) {
       oss << ", ";
     }
-    first = false;
-    oss << n << "=" << v.ToString();
+    oss << layout_->name(i) << "=" << values_[i].ToString();
   }
   oss << "}";
   return oss.str();
+}
+
+void FieldPosition::Resolve(const RecordLayoutPtr& layout) {
+  layout_ = layout;
+  pos_ = layout_ != nullptr ? layout_->IndexOf(name_) : -1;
+}
+
+void FieldPosition::Missing(const Record& rec) const {
+  CWF_CHECK_MSG(false, "record " << rec.ToString() << " lacks field " << name_
+                                 << CurrentActorContext());
+  std::abort();  // unreachable: the check above always fails
 }
 
 }  // namespace cwf

@@ -38,25 +38,20 @@ std::string ScalarType::ToString() const {
 
 RecordSchema& RecordSchema::Field(std::string name, ScalarType type,
                                   bool required) {
-  auto it = index_.find(name);
-  if (it != index_.end()) {
+  const int index = IndexOf(name);
+  if (index >= 0) {
     // Re-declaring a field refines it in place rather than duplicating the
     // name in the layout.
-    fields_[it->second].type = type;
-    fields_[it->second].required = required;
+    fields_[static_cast<size_t>(index)].type = type;
+    fields_[static_cast<size_t>(index)].required = required;
     return *this;
   }
-  index_.emplace(name, fields_.size());
+  RecordLayout::Extend(&layout_, name);
   fields_.push_back(FieldSpec{std::move(name), type, required});
   return *this;
 }
 
-int RecordSchema::IndexOf(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? -1 : static_cast<int>(it->second);
-}
-
-const FieldSpec* RecordSchema::Find(const std::string& name) const {
+const FieldSpec* RecordSchema::Find(std::string_view name) const {
   int idx = IndexOf(name);
   return idx < 0 ? nullptr : &fields_[static_cast<size_t>(idx)];
 }
@@ -181,18 +176,23 @@ Status TokenType::CheckToken(const Token& token) const {
   if (!allows_record()) return kind_error("record");
   if (record_ == nullptr) return Status::OK();
   const RecordPtr& rec = token.AsRecord();
-  for (const FieldSpec& spec : record_->fields()) {
-    Result<Value> got = rec->Get(spec.name);
-    if (!got.ok()) {
+  // A record built from this schema's own layout holds field i at i.
+  const bool same_layout = rec->layout() == record_->layout();
+  for (size_t i = 0; i < record_->size(); ++i) {
+    const FieldSpec& spec = record_->fields()[i];
+    const int index = same_layout ? static_cast<int>(i)
+                                  : rec->IndexOf(spec.name);
+    if (index < 0) {
       if (!spec.required) continue;
       return Status::FailedPrecondition("record missing required field '" +
                                         spec.name + "' (schema " +
                                         record_->ToString() + ", record " +
                                         rec->ToString() + ")");
     }
-    if (!spec.type.Accepts(*got)) {
+    const Value& got = rec->ValueAt(static_cast<size_t>(index));
+    if (!spec.type.Accepts(got)) {
       return Status::FailedPrecondition(
-          "record field '" + spec.name + "' = " + got->ToString() +
+          "record field '" + spec.name + "' = " + got.ToString() +
           " violates declared type " + spec.type.ToString() + " (schema " +
           record_->ToString() + ")");
     }

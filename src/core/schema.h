@@ -24,9 +24,9 @@
 #define CONFLUENCE_CORE_SCHEMA_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -108,12 +108,13 @@ struct FieldSpec {
   }
 };
 
-/// \brief An ordered record layout with O(1) field lookup.
+/// \brief An ordered record layout with field types.
 ///
-/// The per-schema field-index map is built as fields are declared — exactly
-/// once per schema — so consumers resolve a field name to its position a
-/// single time (at schema resolution) and use Record::ValueAt /
-/// Token::FieldAt on the hot path instead of a per-access linear scan.
+/// The schema owns the RecordLayout of its field names, grown as fields are
+/// declared. A producer takes layout() once (at Initialize) and builds every
+/// record of its port from it (BuildRecord), so all of them share that
+/// layout and readers recognise it by address (FieldPosition). Name lookups
+/// (IndexOf/Find) go through the layout.
 class RecordSchema {
  public:
   RecordSchema() = default;
@@ -136,11 +137,18 @@ class RecordSchema {
   const std::vector<FieldSpec>& fields() const { return fields_; }
   size_t size() const { return fields_.size(); }
 
-  /// \brief Position of `name` in the layout, or -1 when absent. O(1).
-  int IndexOf(const std::string& name) const;
+  /// \brief Position of `name` in the layout, or -1 when absent.
+  int IndexOf(std::string_view name) const {
+    return layout_ != nullptr ? layout_->IndexOf(name) : -1;
+  }
 
-  /// \brief The field spec for `name`, or nullptr. O(1).
-  const FieldSpec* Find(const std::string& name) const;
+  /// \brief The field spec for `name`, or nullptr.
+  const FieldSpec* Find(std::string_view name) const;
+
+  /// \brief The field names as a shared layout (null while no field is
+  /// declared). Declaring a field after the layout was handed out gives
+  /// this schema a new layout; holders keep the old one unchanged.
+  const RecordLayoutPtr& layout() const { return layout_; }
 
   /// \brief "{time:int, speed:double, tag:string?}" (? marks optional).
   std::string ToString() const;
@@ -156,7 +164,7 @@ class RecordSchema {
 
  private:
   std::vector<FieldSpec> fields_;
-  std::map<std::string, size_t> index_;  // name -> position in fields_
+  RecordLayoutPtr layout_;  // fields_' names, in order
 };
 
 using RecordSchemaPtr = std::shared_ptr<const RecordSchema>;

@@ -10,28 +10,6 @@ using db::ColumnType;
 using db::Param;
 using db::Row;
 
-/// An empty record with room for every field of `port`'s layout.
-std::shared_ptr<Record> NewOutputRecord(const OutputPort* port) {
-  auto rec = std::make_shared<Record>();
-  if (const RecordSchemaPtr& layout = port->schema().record_schema()) {
-    rec->Reserve(layout->size());
-  }
-  return rec;
-}
-
-Token MakeAccidentToken(const OutputPort* port, const PositionReport& a,
-                        const PositionReport& b) {
-  auto rec = NewOutputRecord(port);
-  rec->Set("time", Value(std::max(a.time, b.time)));
-  rec->Set("xway", Value(a.xway));
-  rec->Set("dir", Value(a.dir));
-  rec->Set("seg", Value(a.seg));
-  rec->Set("pos", Value(a.pos));
-  rec->Set("car1", Value(std::min(a.car, b.car)));
-  rec->Set("car2", Value(std::max(a.car, b.car)));
-  return Token(RecordPtr(std::move(rec)));
-}
-
 // Layouts of the records flowing between the LRB actors (schema pass).
 RecordSchema AccidentSchema() {
   RecordSchema s;
@@ -69,6 +47,27 @@ RecordSchema TollSchema() {
   RecordSchema s;
   s.Int("car").Int("time").Int("xway").Int("dir").Int("seg").Double("toll");
   return s;
+}
+
+/// The layout of `port`'s declared record schema, which must be `expected`
+/// (the field order every output site of the actor writes in). Resolved at
+/// Initialize; each output record is built from it.
+Result<RecordLayoutPtr> OutputLayout(const OutputPort* port,
+                                     const RecordSchema& expected) {
+  const RecordSchemaPtr& declared = port->schema().record_schema();
+  if (declared == nullptr || *declared != expected) {
+    return Status::FailedPrecondition(
+        "output port '" + port->name() + "' must declare record schema " +
+        expected.ToString() + ", has " + port->schema().ToString());
+  }
+  return declared->layout();
+}
+
+Token MakeAccidentToken(const RecordLayoutPtr& layout, const PositionReport& a,
+                        const PositionReport& b) {
+  return Token(BuildRecord(layout, std::max(a.time, b.time), a.xway, a.dir,
+                           a.seg, a.pos, std::min(a.car, b.car),
+                           std::max(a.car, b.car)));
 }
 
 /// "xway = ?0 AND dir = ?1 AND seg = ?2" on `table`: the segment lookup of
@@ -203,6 +202,12 @@ AccidentDetector::AccidentDetector(std::string name) : Actor(std::move(name)) {
   out_->set_schema(TokenType::Record(AccidentSchema()));
 }
 
+Status AccidentDetector::Initialize(ExecutionContext* ctx) {
+  CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
+  CWF_ASSIGN_OR_RETURN(out_layout_, OutputLayout(out_, AccidentSchema()));
+  return Status::OK();
+}
+
 Status AccidentDetector::Fire() {
   std::optional<Window> w = in_->Get();
   if (!w.has_value() || w->size() < 2) {
@@ -213,12 +218,16 @@ Status AccidentDetector::Fire() {
   if (a.car == b.car || a.lane == kExitLane || b.lane == kExitLane) {
     return Status::OK();
   }
-  Send(out_, MakeAccidentToken(out_, a, b));
+  Send(out_, MakeAccidentToken(out_layout_, a, b));
   return Status::OK();
 }
 
 InsertAccident::InsertAccident(std::string name, db::Database* database)
-    : Actor(std::move(name)), database_(database) {
+    : Actor(std::move(name)),
+      database_(database),
+      row_fields_({FieldPosition("xway"), FieldPosition("dir"),
+                   FieldPosition("seg"), FieldPosition("pos"),
+                   FieldPosition("car1"), FieldPosition("car2")}) {
   CWF_CHECK(database_ != nullptr);
   in_ = AddInputPort("in");
   in_->set_required_schema(TokenType::Record(AccidentSchema()));
@@ -238,18 +247,20 @@ Status InsertAccident::Fire() {
     return Status::OK();
   }
   for (const CWEvent& e : w->events) {
-    const RecordPtr& rec = e.token.AsRecord();
+    const Record& rec = *e.token.AsRecord();
     // Bookkeeping timestamp = detection time: the arrival of the report
     // that closed the stopped-car window (the CWEvent envelope), not the
     // 90-second-old first report inside it — otherwise the notifier's
     // 60-second recency filter can never match.
-    const int64_t detected_at = std::max(
-        rec->GetOr("time", Value(int64_t{0})).AsInt(),
-        static_cast<int64_t>(e.timestamp.seconds()));
-    Row row = {rec->GetOr("xway", Value(0)), rec->GetOr("dir", Value(0)),
-               rec->GetOr("seg", Value(0)), rec->GetOr("pos", Value(0)),
-               rec->GetOr("car1", Value(0)), rec->GetOr("car2", Value(0)),
-               Value(detected_at)};
+    const int64_t detected_at =
+        std::max(time_.GetOr(rec, Value(int64_t{0})).AsInt(),
+                 static_cast<int64_t>(e.timestamp.seconds()));
+    Row row;
+    row.reserve(row_fields_.size() + 1);
+    for (FieldPosition& field : row_fields_) {
+      row.push_back(field.GetOr(rec, Value(0)));
+    }
+    row.emplace_back(detected_at);
     auto upserted = table_->Upsert(upsert_, std::move(row));
     if (!upserted.ok()) {
       return upserted.status();
@@ -272,6 +283,8 @@ AccidentNotifier::AccidentNotifier(std::string name, db::Database* database)
 
 Status AccidentNotifier::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
+  CWF_ASSIGN_OR_RETURN(out_layout_,
+                       OutputLayout(out_, NotificationSchema()));
   CWF_ASSIGN_OR_RETURN(db::Table * accidents,
                        database_->GetTable(kTableAccidents));
   return scope_.Prepare(accidents);
@@ -292,13 +305,9 @@ Status AccidentNotifier::Fire() {
       return hit.status();
     }
     if (hit.value()) {
-      auto rec = NewOutputRecord(out_);
-      rec->Set("car", Value(r.car));
-      rec->Set("time", Value(r.time));
-      rec->Set("xway", Value(r.xway));
-      rec->Set("dir", Value(r.dir));
-      rec->Set("seg", Value(r.seg));
-      Send(out_, Token(RecordPtr(std::move(rec))));
+      Send(out_,
+           Token(BuildRecord(out_layout_, r.car, r.time, r.xway, r.dir,
+                             r.seg)));
     }
   }
   return Status::OK();
@@ -318,6 +327,12 @@ AvgsvActor::AvgsvActor(std::string name) : Actor(std::move(name)) {
   out_->set_schema(TokenType::Record(AvgsvSchema()));
 }
 
+Status AvgsvActor::Initialize(ExecutionContext* ctx) {
+  CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
+  CWF_ASSIGN_OR_RETURN(out_layout_, OutputLayout(out_, AvgsvSchema()));
+  return Status::OK();
+}
+
 Status AvgsvActor::Fire() {
   std::optional<Window> w = in_->Get();
   if (!w.has_value() || w->empty()) {
@@ -325,17 +340,12 @@ Status AvgsvActor::Fire() {
   }
   double sum = 0;
   for (const CWEvent& e : w->events) {
-    sum += e.token.Field(kFieldSpeed).AsDouble();
+    sum += speed_.Get(*e.token.AsRecord()).AsDouble();
   }
   const PositionReport r = PositionReport::FromToken(w->events[0].token);
-  auto rec = NewOutputRecord(out_);
-  rec->Set("car", Value(r.car));
-  rec->Set("xway", Value(r.xway));
-  rec->Set("dir", Value(r.dir));
-  rec->Set("seg", Value(r.seg));
-  rec->Set("minute", Value(r.time / 60));
-  rec->Set("avg_speed", Value(sum / static_cast<double>(w->size())));
-  Send(out_, Token(RecordPtr(std::move(rec))));
+  Send(out_, Token(BuildRecord(out_layout_, r.car, r.xway, r.dir, r.seg,
+                               r.time / 60,
+                               sum / static_cast<double>(w->size()))));
   return Status::OK();
 }
 
@@ -365,6 +375,7 @@ Status AvgsActor::Initialize(ExecutionContext* ctx) {
   CWF_ASSIGN_OR_RETURN(stats_lookup_, PrepareSegmentLookup(stats_table_));
   CWF_ASSIGN_OR_RETURN(stats_upsert_,
                        stats_table_->PrepareUpsert({"xway", "dir", "seg"}));
+  CWF_ASSIGN_OR_RETURN(out_layout_, OutputLayout(out_, AvgsSchema()));
   return Status::OK();
 }
 
@@ -376,14 +387,15 @@ Status AvgsActor::Fire() {
   double sum = 0;
   int64_t minute = 0;
   for (const CWEvent& e : w->events) {
-    sum += e.token.Field("avg_speed").AsDouble();
-    minute = std::max(minute, e.token.Field("minute").AsInt());
+    const Record& rec = *e.token.AsRecord();
+    sum += avg_speed_.Get(rec).AsDouble();
+    minute = std::max(minute, minute_.Get(rec).AsInt());
   }
   const double avg = sum / static_cast<double>(w->size());
-  const RecordPtr& first = w->events[0].token.AsRecord();
-  const int64_t xway = first->GetOr("xway", Value(0)).AsInt();
-  const int64_t dir = first->GetOr("dir", Value(0)).AsInt();
-  const int64_t seg = first->GetOr("seg", Value(0)).AsInt();
+  const Record& first = *w->events[0].token.AsRecord();
+  const int64_t xway = xway_.GetOr(first, Value(0)).AsInt();
+  const int64_t dir = dir_.GetOr(first, Value(0)).AsInt();
+  const int64_t seg = seg_.GetOr(first, Value(0)).AsInt();
 
   // Record this minute's segment average.
   auto ins = avg_table_->Insert(
@@ -416,13 +428,8 @@ Status AvgsActor::Fire() {
     return upsert.status();
   }
 
-  auto rec = NewOutputRecord(out_);
-  rec->Set("xway", Value(xway));
-  rec->Set("dir", Value(dir));
-  rec->Set("seg", Value(seg));
-  rec->Set("minute", Value(minute));
-  rec->Set("lav", Value(lav_value));
-  Send(out_, Token(RecordPtr(std::move(rec))));
+  Send(out_, Token(BuildRecord(out_layout_, xway, dir, seg, minute,
+                               lav_value)));
   return Status::OK();
 }
 
@@ -443,6 +450,7 @@ Status CarCountActor::Initialize(ExecutionContext* ctx) {
   CWF_ASSIGN_OR_RETURN(stats_lookup_, PrepareSegmentLookup(stats_table_));
   CWF_ASSIGN_OR_RETURN(stats_upsert_,
                        stats_table_->PrepareUpsert({"xway", "dir", "seg"}));
+  CWF_ASSIGN_OR_RETURN(out_layout_, OutputLayout(out_, CarCountSchema()));
   return Status::OK();
 }
 
@@ -455,8 +463,9 @@ Status CarCountActor::Fire() {
   cars_.clear();
   int64_t minute = 0;
   for (const CWEvent& e : w->events) {
-    cars_.push_back(e.token.Field(kFieldCar).AsInt());
-    minute = std::max(minute, e.token.Field(kFieldTime).AsInt() / 60);
+    const Record& rec = *e.token.AsRecord();
+    cars_.push_back(car_.Get(rec).AsInt());
+    minute = std::max(minute, time_.Get(rec).AsInt() / 60);
   }
   std::sort(cars_.begin(), cars_.end());
   const auto count = static_cast<int64_t>(
@@ -477,13 +486,8 @@ Status CarCountActor::Fire() {
     return upsert.status();
   }
 
-  auto rec = NewOutputRecord(out_);
-  rec->Set("xway", Value(r.xway));
-  rec->Set("dir", Value(r.dir));
-  rec->Set("seg", Value(r.seg));
-  rec->Set("minute", Value(minute));
-  rec->Set("cars", Value(count));
-  Send(out_, Token(RecordPtr(std::move(rec))));
+  Send(out_, Token(BuildRecord(out_layout_, r.xway, r.dir, r.seg, minute,
+                               count)));
   return Status::OK();
 }
 
@@ -504,6 +508,7 @@ Status TollCalculator::Initialize(ExecutionContext* ctx) {
   CWF_RETURN_NOT_OK(Actor::Initialize(ctx));
   CWF_ASSIGN_OR_RETURN(stats_table_, database_->GetTable(kTableSegmentStats));
   CWF_ASSIGN_OR_RETURN(stats_lookup_, PrepareSegmentLookup(stats_table_));
+  CWF_ASSIGN_OR_RETURN(out_layout_, OutputLayout(out_, TollSchema()));
   CWF_ASSIGN_OR_RETURN(db::Table * accidents,
                        database_->GetTable(kTableAccidents));
   return scope_.Prepare(accidents);
@@ -541,14 +546,8 @@ Status TollCalculator::Fire() {
   const double toll = ComputeToll(lav, cars, accident.value());
   ++tolls_;
 
-  auto rec = NewOutputRecord(out_);
-  rec->Set("car", Value(curr.car));
-  rec->Set("time", Value(curr.time));
-  rec->Set("xway", Value(curr.xway));
-  rec->Set("dir", Value(curr.dir));
-  rec->Set("seg", Value(curr.seg));
-  rec->Set("toll", Value(toll));
-  Send(out_, Token(RecordPtr(std::move(rec))));
+  Send(out_, Token(BuildRecord(out_layout_, curr.car, curr.time, curr.xway,
+                               curr.dir, curr.seg, toll)));
   return Status::OK();
 }
 

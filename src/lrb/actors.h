@@ -77,11 +77,13 @@ class AccidentDetector : public Actor {
   InputPort* in() const { return in_; }
   OutputPort* out() const { return out_; }
 
+  Status Initialize(ExecutionContext* ctx) override;
   Status Fire() override;
 
  private:
   InputPort* in_;
   OutputPort* out_;
+  RecordLayoutPtr out_layout_;
 };
 
 /// \brief Records detected accidents into the accidentInSegment relation
@@ -102,6 +104,9 @@ class InsertAccident : public Actor {
   db::Database* database_;
   db::Table* table_ = nullptr;
   db::PreparedUpsert upsert_;
+  FieldPosition time_{"time"};
+  /// The row's fields ahead of the timestamp, in column order.
+  std::vector<FieldPosition> row_fields_;
   InputPort* in_;
   uint64_t recorded_ = 0;
 };
@@ -124,6 +129,7 @@ class AccidentNotifier : public Actor {
   AccidentScope scope_;
   InputPort* in_;
   OutputPort* out_;
+  RecordLayoutPtr out_layout_;
 };
 
 /// \brief Average speed per car per segment per minute (Avgsv): window
@@ -135,11 +141,14 @@ class AvgsvActor : public Actor {
   InputPort* in() const { return in_; }
   OutputPort* out() const { return out_; }
 
+  Status Initialize(ExecutionContext* ctx) override;
   Status Fire() override;
 
  private:
+  FieldPosition speed_{kFieldSpeed};
   InputPort* in_;
   OutputPort* out_;
+  RecordLayoutPtr out_layout_;
 };
 
 /// \brief Per-segment average speed per minute (Avgs): window {Size: 1
@@ -166,8 +175,14 @@ class AvgsActor : public Actor {
   db::PreparedQuery stats_lookup_;
   db::PreparedUpsert stats_upsert_;
   db::Row row_;
+  FieldPosition avg_speed_{"avg_speed"};
+  FieldPosition minute_{"minute"};
+  FieldPosition xway_{kFieldXway};
+  FieldPosition dir_{kFieldDir};
+  FieldPosition seg_{kFieldSeg};
   InputPort* in_;
   OutputPort* out_;
+  RecordLayoutPtr out_layout_;
 };
 
 /// \brief Cars per segment per minute (cars): window {Size: 1 minute,
@@ -190,8 +205,11 @@ class CarCountActor : public Actor {
   db::PreparedUpsert stats_upsert_;
   db::Row row_;
   std::vector<int64_t> cars_;
+  FieldPosition car_{kFieldCar};
+  FieldPosition time_{kFieldTime};
   InputPort* in_;
   OutputPort* out_;
+  RecordLayoutPtr out_layout_;
 };
 
 /// \brief Toll calculation: window {Size: 2 tokens, Step: 1 token,
@@ -218,6 +236,7 @@ class TollCalculator : public Actor {
   AccidentScope scope_;
   InputPort* in_;
   OutputPort* out_;
+  RecordLayoutPtr out_layout_;
   uint64_t tolls_ = 0;
 };
 

@@ -6,28 +6,20 @@
 
 namespace cwf::lrb {
 
-Token PositionReport::ToToken() const {
-  auto rec = std::make_shared<Record>();
-  rec->Reserve(8);
-  rec->Set(kFieldTime, Value(time));
-  rec->Set(kFieldCar, Value(car));
-  rec->Set(kFieldSpeed, Value(speed));
-  rec->Set(kFieldXway, Value(xway));
-  rec->Set(kFieldLane, Value(lane));
-  rec->Set(kFieldDir, Value(dir));
-  rec->Set(kFieldSeg, Value(seg));
-  rec->Set(kFieldPos, Value(pos));
-  return Token(RecordPtr(std::move(rec)));
-}
-
 namespace {
 
-// `name`'s value in a position report. `hint` is the field's position in
-// the ToToken() layout: checked first, with a name scan only for records
-// built in another field order. Stateless, so actors on concurrent threads
-// may decode at once.
-const Value& ReportField(const Record& rec, const char* name, size_t hint) {
-  const int index = rec.IndexOf(name, hint);
+// The layout of every record ToToken() builds, in field order. Held for the
+// life of the program, so its address identifies position reports.
+const RecordLayoutPtr& ReportLayout() {
+  static const RecordLayoutPtr layout =
+      RecordLayout::Make({kFieldTime, kFieldCar, kFieldSpeed, kFieldXway,
+                          kFieldLane, kFieldDir, kFieldSeg, kFieldPos});
+  return layout;
+}
+
+// `name`'s value in a position report whose fields are in another order.
+const Value& ReportField(const Record& rec, const char* name) {
+  const int index = rec.layout() != nullptr ? rec.layout()->IndexOf(name) : -1;
   CWF_CHECK_MSG(index >= 0, "record " << rec.ToString() << " lacks field "
                                       << name << CurrentActorContext());
   return rec.ValueAt(static_cast<size_t>(index));
@@ -35,18 +27,40 @@ const Value& ReportField(const Record& rec, const char* name, size_t hint) {
 
 }  // namespace
 
+Token PositionReport::ToToken() const {
+  return Token(BuildRecord(ReportLayout(), time, car, speed, xway, lane, dir,
+                           seg, pos));
+}
+
 PositionReport PositionReport::FromToken(const Token& token) {
   const RecordPtr& rec = token.AsRecord();
   CWF_CHECK(rec != nullptr);
   PositionReport r;
-  r.time = ReportField(*rec, kFieldTime, 0).AsInt();
-  r.car = ReportField(*rec, kFieldCar, 1).AsInt();
-  r.speed = ReportField(*rec, kFieldSpeed, 2).AsDouble();
-  r.xway = ReportField(*rec, kFieldXway, 3).AsInt();
-  r.lane = ReportField(*rec, kFieldLane, 4).AsInt();
-  r.dir = ReportField(*rec, kFieldDir, 5).AsInt();
-  r.seg = ReportField(*rec, kFieldSeg, 6).AsInt();
-  r.pos = ReportField(*rec, kFieldPos, 7).AsInt();
+  // Stateless, so actors on concurrent threads may decode at once.
+  const RecordLayoutPtr& layout = rec->layout();
+  if (layout == ReportLayout() ||
+      (layout != nullptr && layout->names() == ReportLayout()->names())) {
+    // Built by ToToken(), or parsed from a body in its field order: every
+    // field sits at its ReportLayout() position.
+    const std::vector<Value>& v = rec->values();
+    r.time = v[0].AsInt();
+    r.car = v[1].AsInt();
+    r.speed = v[2].AsDouble();
+    r.xway = v[3].AsInt();
+    r.lane = v[4].AsInt();
+    r.dir = v[5].AsInt();
+    r.seg = v[6].AsInt();
+    r.pos = v[7].AsInt();
+    return r;
+  }
+  r.time = ReportField(*rec, kFieldTime).AsInt();
+  r.car = ReportField(*rec, kFieldCar).AsInt();
+  r.speed = ReportField(*rec, kFieldSpeed).AsDouble();
+  r.xway = ReportField(*rec, kFieldXway).AsInt();
+  r.lane = ReportField(*rec, kFieldLane).AsInt();
+  r.dir = ReportField(*rec, kFieldDir).AsInt();
+  r.seg = ReportField(*rec, kFieldSeg).AsInt();
+  r.pos = ReportField(*rec, kFieldPos).AsInt();
   return r;
 }
 

@@ -185,15 +185,23 @@ bool PushChannel::closed() const {
 std::vector<TraceEntry> PushChannel::PopArrived(Timestamp now,
                                                 size_t max_batch) {
   std::vector<TraceEntry> out;
+  PopArrived(now, max_batch, &out);
+  return out;
+}
+
+void PushChannel::PopArrived(Timestamp now, size_t max_batch,
+                             std::vector<TraceEntry>* out) {
+  size_t popped = 0;
   std::function<void()> signal;
   {
     ScopedLock lock(mutex_);
     while (!queue_.empty() && queue_.front().arrival <= now &&
-           (max_batch == 0 || out.size() < max_batch)) {
-      out.push_back(std::move(queue_.front()));
+           (max_batch == 0 || popped < max_batch)) {
+      out->push_back(std::move(queue_.front()));
       queue_.pop_front();
+      ++popped;
     }
-    if (!out.empty()) {
+    if (popped > 0) {
       PublishFrontLocked();
       signal = TakeSpaceSignalLocked();
     }
@@ -201,7 +209,6 @@ std::vector<TraceEntry> PushChannel::PopArrived(Timestamp now,
   if (signal) {
     signal();
   }
-  return out;
 }
 
 size_t PushChannel::Pending() const {

@@ -109,6 +109,12 @@ class PushChannel {
   /// up to `max_batch` (0 = unlimited).
   std::vector<TraceEntry> PopArrived(Timestamp now, size_t max_batch = 0);
 
+  /// \brief PopArrived() into a caller-owned buffer: appends to `*out`, so a
+  /// consumer that keeps one buffer across calls allocates nothing once it
+  /// has grown.
+  void PopArrived(Timestamp now, size_t max_batch,
+                  std::vector<TraceEntry>* out);
+
   /// \brief Arrival time of the oldest queued tuple; Timestamp::Max() when
   /// empty. Lock-free: reads the front arrival every queue mutation
   /// publishes under the lock.

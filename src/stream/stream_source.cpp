@@ -25,10 +25,12 @@ Result<bool> StreamSourceActor::Prefire() {
 
 Status StreamSourceActor::Fire() {
   const Timestamp now = ctx_->clock->Now();
-  for (TraceEntry& e : channel_->PopArrived(now, max_batch_)) {
+  channel_->PopArrived(now, max_batch_, &batch_);
+  for (TraceEntry& e : batch_) {
     SendStamped(out_, std::move(e.token), e.arrival);
     ++injected_;
   }
+  batch_.clear();  // holds no token between firings
   return Status::OK();
 }
 

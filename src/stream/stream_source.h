@@ -6,6 +6,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/actor.h"
 #include "stream/push_channel.h"
@@ -76,6 +77,8 @@ class StreamSourceActor : public Actor, public TimedSource {
   PushChannelPtr channel_;
   size_t max_batch_;
   OutputPort* out_;
+  /// Each firing's batch; kept so its capacity is reused.
+  std::vector<TraceEntry> batch_;
   uint64_t injected_ = 0;
 };
 

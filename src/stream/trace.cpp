@@ -1,9 +1,13 @@
 #include "stream/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "common/lock_registry.h"
+#include "common/thread_annotations.h"
 
 namespace cwf {
 namespace {
@@ -20,7 +24,7 @@ std::string EscapeField(const std::string& s) {
   return out;
 }
 
-std::string UnescapeField(const std::string& s) {
+std::string UnescapeField(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (size_t i = 0; i < s.size(); ++i) {
@@ -50,24 +54,73 @@ std::string SerializeValue(const Value& v) {
   return "n:";
 }
 
-Result<Value> ParseValue(const std::string& s) {
+// Parse all of `text` as a number; false on anything else (empty text,
+// trailing characters, overflow).
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+Result<Value> ParseValue(std::string_view s) {
   if (s.size() < 2 || s[1] != ':') {
-    return Status::InvalidArgument("malformed trace value '" + s + "'");
+    return Status::InvalidArgument("malformed trace value '" +
+                                   std::string(s) + "'");
   }
-  const std::string body = s.substr(2);
+  const std::string_view body = s.substr(2);
   switch (s[0]) {
-    case 'i':
-      return Value(static_cast<int64_t>(std::stoll(body)));
-    case 'd':
-      return Value(std::stod(body));
+    case 'i': {
+      int64_t v = 0;
+      if (!ParseNumber(body, &v)) {
+        break;
+      }
+      return Value(v);
+    }
+    case 'd': {
+      double v = 0;
+      if (!ParseNumber(body, &v)) {
+        break;
+      }
+      return Value(v);
+    }
     case 'b':
       return Value(body == "1");
     case 's':
       return Value(UnescapeField(body));
     case 'n':
       return Value();
+    default:
+      return Status::InvalidArgument("unknown trace value tag '" +
+                                     std::string(s) + "'");
   }
-  return Status::InvalidArgument("unknown trace value tag '" + s + "'");
+  return Status::InvalidArgument("malformed trace number '" + std::string(s) +
+                                 "'");
+}
+
+// The layout of the last record body parsed, on any thread. Consecutive
+// bodies of one shape (one stream, across connections and ingest shards)
+// yield records of one layout, so readers downstream keep one cached
+// position per field, and no field name is copied after the first body.
+class ParsedLayoutCache {
+ public:
+  RecordLayoutPtr Get() {
+    ScopedLock lock(mutex_);
+    return layout_;
+  }
+  void Set(RecordLayoutPtr layout) {
+    ScopedLock lock(mutex_);
+    layout_.swap(layout);
+  }
+
+ private:
+  OrderedMutex mutex_{"ParsedLayoutCache::mutex"};
+  RecordLayoutPtr layout_ CWF_GUARDED_BY(mutex_);
+};
+
+ParsedLayoutCache& LayoutCache() {
+  static auto* cache = new ParsedLayoutCache();  // outlives parsing threads
+  return *cache;
 }
 
 }  // namespace
@@ -75,16 +128,14 @@ Result<Value> ParseValue(const std::string& s) {
 std::string SerializeTokenBody(const Token& token) {
   std::string out;
   if (token.is_record()) {
-    const RecordPtr& rec = token.AsRecord();
-    bool first = true;
-    for (const auto& [name, value] : rec->fields()) {
-      if (!first) {
+    const Record& rec = *token.AsRecord();
+    for (size_t i = 0; i < rec.size(); ++i) {
+      if (i > 0) {
         out += ";";
       }
-      first = false;
-      out += EscapeField(name);
+      out += EscapeField(rec.NameAt(i));
       out += "=";
-      out += SerializeValue(value);
+      out += SerializeValue(rec.ValueAt(i));
     }
   } else if (!token.is_nil()) {
     Value v;
@@ -97,48 +148,79 @@ std::string SerializeTokenBody(const Token& token) {
   return out;
 }
 
-Result<Token> ParseTokenBody(const std::string& body) {
+Result<Token> ParseTokenBody(std::string_view body) {
   if (body.empty()) {
     return Token();
   }
-  auto rec = std::make_shared<Record>();
-  // Split on unescaped ';'.
-  std::vector<std::string> parts;
-  std::string current;
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (body[i] == '\\' && i + 1 < body.size()) {
-      current.push_back(body[i]);
-      current.push_back(body[i + 1]);
-      ++i;
-    } else if (body[i] == ';') {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(body[i]);
-    }
-  }
-  parts.push_back(current);
-  for (const std::string& part : parts) {
-    // Split on the first unescaped '='.
-    size_t eq = std::string::npos;
-    for (size_t i = 0; i < part.size(); ++i) {
-      if (part[i] == '\\') {
-        ++i;
-      } else if (part[i] == '=') {
-        eq = i;
-        break;
+  const RecordLayoutPtr last = LayoutCache().Get();
+  // The first `n` names of `last`, as a layout of their own.
+  const auto last_prefix = [&last](size_t n) {
+    return RecordLayout::Make(std::vector<std::string>(
+        last->names().begin(),
+        last->names().begin() + static_cast<std::ptrdiff_t>(n)));
+  };
+  std::vector<Value> values;
+  values.reserve(last != nullptr ? last->size() : 8);
+  // Null while every name so far matches `last` in order; otherwise the
+  // layout being built (a repeated name replaces the earlier value).
+  RecordLayoutPtr built;
+  for (size_t start = 0;;) {
+    // One field: up to the next unescaped ';', split at its first
+    // unescaped '='.
+    size_t end = start;
+    size_t eq = std::string_view::npos;
+    bool escaped_name = false;
+    for (; end < body.size() && body[end] != ';'; ++end) {
+      if (body[end] == '\\' && end + 1 < body.size()) {
+        escaped_name |= eq == std::string_view::npos;
+        ++end;
+      } else if (body[end] == '=' && eq == std::string_view::npos) {
+        eq = end;
       }
     }
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("malformed trace field: " + part);
+    const std::string_view field = body.substr(start, end - start);
+    if (eq == std::string_view::npos) {
+      return Status::InvalidArgument("malformed trace field: " +
+                                     std::string(field));
     }
-    auto value = ParseValue(part.substr(eq + 1));
-    if (!value.ok()) {
-      return value.status();
+    CWF_ASSIGN_OR_RETURN(Value value,
+                         ParseValue(body.substr(eq + 1, end - eq - 1)));
+    const std::string_view raw_name = body.substr(start, eq - start);
+    std::string unescaped;
+    if (escaped_name) {
+      unescaped = UnescapeField(raw_name);
     }
-    rec->Set(UnescapeField(part.substr(0, eq)), std::move(value).value());
+    const std::string_view name = escaped_name ? unescaped : raw_name;
+    const size_t k = values.size();
+    if (built == nullptr && last != nullptr && k < last->size() &&
+        last->name(k) == name) {
+      values.push_back(std::move(value));
+    } else {
+      if (built == nullptr && k > 0) {
+        built = last_prefix(k);
+      }
+      const int index = built != nullptr ? built->IndexOf(name) : -1;
+      if (index >= 0) {
+        values[static_cast<size_t>(index)] = std::move(value);
+      } else {
+        RecordLayout::Extend(&built, std::string(name));
+        values.push_back(std::move(value));
+      }
+    }
+    if (end == body.size()) {
+      break;
+    }
+    start = end + 1;
   }
-  return Token(RecordPtr(std::move(rec)));
+  if (built == nullptr && values.size() != last->size()) {
+    built = last_prefix(values.size());
+  }
+  if (built == nullptr) {
+    return Token(std::make_shared<const Record>(last, std::move(values)));
+  }
+  LayoutCache().Set(built);
+  return Token(std::make_shared<const Record>(std::move(built),
+                                              std::move(values)));
 }
 
 void Trace::Sort() {
@@ -189,8 +271,12 @@ Result<Trace> Trace::LoadFromFile(const std::string& path) {
     if (tab == std::string::npos) {
       return Status::InvalidArgument("malformed trace line: " + line);
     }
-    const Timestamp arrival(std::stoll(line.substr(0, tab)));
-    auto token = ParseTokenBody(line.substr(tab + 1));
+    int64_t arrival_us = 0;
+    if (!ParseNumber(std::string_view(line).substr(0, tab), &arrival_us)) {
+      return Status::InvalidArgument("malformed trace arrival: " + line);
+    }
+    const Timestamp arrival(arrival_us);
+    auto token = ParseTokenBody(std::string_view(line).substr(tab + 1));
     if (!token.ok()) {
       return token.status();
     }

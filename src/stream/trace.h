@@ -8,6 +8,7 @@
 #define CONFLUENCE_STREAM_TRACE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -28,8 +29,11 @@ struct TraceEntry {
 std::string SerializeTokenBody(const Token& token);
 
 /// \brief Parse a SerializeTokenBody() string back into a record token.
-/// An empty body parses to the nil token.
-Result<Token> ParseTokenBody(const std::string& body);
+/// An empty body parses to the nil token. A number must fill its whole
+/// field and fit its type, or the body is InvalidArgument. A repeated field
+/// name keeps its first position and its last value. Consecutive bodies
+/// with the same field names on one thread share one record layout.
+Result<Token> ParseTokenBody(std::string_view body);
 
 /// \brief An ordered, replayable stream recording.
 class Trace {

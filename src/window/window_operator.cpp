@@ -29,6 +29,7 @@ WindowOperator::WindowOperator(WindowSpec spec) : spec_(std::move(spec)) {
     key_fields_.emplace_back(field);
   }
   key_scratch_.resize(key_fields_.size());
+  key_layout_ = RecordLayout::Make(spec_.group_by);
 }
 
 Status WindowOperator::FindGroup(const CWEvent& event, uint32_t* id) {
@@ -100,13 +101,12 @@ uint32_t WindowOperator::AddGroup() {
 
 const Token& WindowOperator::KeyToken(GroupState* g) {
   if (g->group_key_token.is_nil() && !key_fields_.empty()) {
-    auto key_rec = std::make_shared<Record>();
-    key_rec->Reserve(key_fields_.size());
-    const Value* key = &key_values_[g->id * key_fields_.size()];
-    for (size_t i = 0; i < key_fields_.size(); ++i) {
-      key_rec->Set(key_fields_[i].name(), key[i]);
-    }
-    g->group_key_token = Token(RecordPtr(std::move(key_rec)));
+    const auto key = key_values_.begin() +
+                     static_cast<std::ptrdiff_t>(g->id * key_fields_.size());
+    g->group_key_token = Token(std::make_shared<const Record>(
+        key_layout_,
+        std::vector<Value>(
+            key, key + static_cast<std::ptrdiff_t>(key_fields_.size()))));
   }
   return g->group_key_token;
 }

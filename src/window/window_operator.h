@@ -38,10 +38,10 @@ namespace cwf {
 ///
 /// Deposit path ("evaluate the group-by clause, then insert"):
 ///  - Group-by fields are read through FieldPosition: each field keeps the
-///    record position it was last found at, confirmed by one name
-///    comparison, so a channel whose records share one layout never scans
-///    by name, and records with the same fields in another order still
-///    find them.
+///    layout it was last resolved in and its position there, confirmed by
+///    one pointer comparison, so a channel whose records share one layout
+///    never looks a name up, and records with the same fields in another
+///    order still find them.
 ///  - Groups live in a deque by dense id (stable addresses, no copying as
 ///    it grows), found through an open-addressing index of 8-byte
 ///    (hash, id) slots; the hash mixes the key values' hashes. The key is
@@ -178,9 +178,9 @@ class WindowOperator {
     size_t last_window_size = 0;
     /// Dense id: the group's key is key_values_[id * fields, +fields).
     uint32_t id = 0;
-    /// Key record (group-by field name -> value, in group_by order), built
-    /// by KeyToken() for the group's first window; nil until then and
-    /// without a group-by.
+    /// Key record (key_layout_: group-by field name -> value, in group_by
+    /// order), built by KeyToken() for the group's first window; nil until
+    /// then and without a group-by.
     Token group_key_token;
     std::unique_ptr<WaveState> waves;
     /// Deadline currently registered in deadline_index_ (Max = none) and,
@@ -249,6 +249,8 @@ class WindowOperator {
   bool trivial_ = false;
   /// One per group-by field, in group_by order.
   std::vector<FieldPosition> key_fields_;
+  /// The layout of every group key record (the group_by names).
+  RecordLayoutPtr key_layout_;
   /// The key of the event being deposited: pointers into its record.
   std::vector<const Value*> key_scratch_;
   /// Groups by dense id; a deque keeps addresses stable as it grows.

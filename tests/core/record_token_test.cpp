@@ -69,8 +69,8 @@ TEST(RecordTest, SetOverwritesInPlace) {
   EXPECT_EQ(r.size(), 2u);
   EXPECT_EQ(r.Get("a").value().AsInt(), 3);
   // Field order preserved.
-  EXPECT_EQ(r.fields()[0].first, "a");
-  EXPECT_EQ(r.fields()[1].first, "b");
+  EXPECT_EQ(r.NameAt(0), "a");
+  EXPECT_EQ(r.NameAt(1), "b");
 }
 
 TEST(RecordTest, EqualityIsFieldwise) {

@@ -246,6 +246,27 @@ TEST(IngestServerTest, MalformedLinesCountedAndDropped) {
   server.Stop();
 }
 
+TEST(IngestServerTest, MalformedNumberInFrameIsAParseError) {
+  // A number that does not parse must count as a parse error and leave the
+  // connection (and the process) alive for the next frame.
+  auto channel = std::make_shared<PushChannel>();
+  RealClock clock;
+  IngestServer server(&clock);
+  server.AddChannel(0, channel);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  const int fd = ConnectTo(server.port());
+  SendAll(fd, EncodeFrame(0, "x=i:abc") + EncodeFrame(0, "ok=i:7"));
+  WaitFor([&] { return server.tuples_received() >= 1; });
+  ::close(fd);
+  EXPECT_EQ(server.parse_errors(), 1u);
+  EXPECT_EQ(server.tuples_received(), 1u);
+  auto batch = channel->PopArrived(Timestamp::Max());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].token.Field("ok").AsInt(), 7);
+  server.Stop();
+}
+
 TEST(IngestServerTest, MultipleClientsAndPartialWrites) {
   auto channel = std::make_shared<PushChannel>();
   RealClock clock;

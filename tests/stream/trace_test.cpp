@@ -111,6 +111,34 @@ TEST(TraceTest, LoadRejectsMalformedLines) {
   std::remove(path.c_str());
 }
 
+TEST(TraceTest, MalformedNumbersAreInvalidArgument) {
+  // Each of these once escaped ParseTokenBody as a C++ exception (or, for
+  // "12abc", parsed as 12).
+  for (const char* body : {"x=i:abc", "x=d:zz", "x=i:99999999999999999999",
+                           "x=i:12abc", "x=i:", "x=d:1.5x"}) {
+    SCOPED_TRACE(body);
+    EXPECT_EQ(ParseTokenBody(body).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ParseTokenBody("x=i:-12").value().Field("x").AsInt(), -12);
+  EXPECT_DOUBLE_EQ(ParseTokenBody("x=d:2.5e3").value().Field("x").AsDouble(),
+                   2500.0);
+}
+
+TEST(TraceTest, LoadRejectsMalformedArrival) {
+  const std::string path = ::testing::TempDir() + "/bad_arrival.tsv";
+  for (const char* line :
+       {"12x\tv=i:1\n", "99999999999999999999\tv=i:1\n"}) {
+    {
+      std::ofstream out(path);
+      out << line;
+    }
+    EXPECT_EQ(Trace::LoadFromFile(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceTest, EmptyFileLoadsEmptyTrace) {
   const std::string path = ::testing::TempDir() + "/empty_trace.tsv";
   { std::ofstream out(path); }

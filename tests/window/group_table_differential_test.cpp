@@ -495,11 +495,10 @@ void ExpectSameWindows(const std::vector<Window>& got,
 // Lexicographic key order of the windows' key records (field by field,
 // Value::operator<).
 bool KeyLess(const Window& a, const Window& b) {
-  const auto& fa = a.group_key.AsRecord()->fields();
-  const auto& fb = b.group_key.AsRecord()->fields();
-  return std::lexicographical_compare(
-      fa.begin(), fa.end(), fb.begin(), fb.end(),
-      [](const auto& x, const auto& y) { return x.second < y.second; });
+  const auto& fa = a.group_key.AsRecord()->values();
+  const auto& fb = b.group_key.AsRecord()->values();
+  return std::lexicographical_compare(fa.begin(), fa.end(), fb.begin(),
+                                      fb.end());
 }
 
 void RunCase(uint64_t seed) {
