@@ -419,9 +419,6 @@ TokenType DbLookupActor::OutputTokenType(
     const db::Schema& schema = (*table)->schema();
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       const db::Column& col = schema.column(c);
-      if (enriched.IndexOf(col.name) >= 0) {
-        continue;  // the record's own field wins the clash
-      }
       ScalarType type = ScalarType::Null();  // columns are nullable
       switch (col.type) {
         case db::ColumnType::kInt64:
@@ -437,7 +434,14 @@ TokenType DbLookupActor::OutputTokenType(
           type = type.Union(ScalarType::Str());
           break;
       }
-      enriched.Field(col.name, type, /*required=*/false);
+      if (const FieldSpec* field = enriched.Find(col.name)) {
+        // Name clash: a match overwrites the field with the column's value
+        // and an unmatched record keeps its own, so the field holds either.
+        const bool required = field->required;
+        enriched.Field(col.name, field->type.Union(type), required);
+      } else {
+        enriched.Field(col.name, type, /*required=*/false);
+      }
     }
   }
   return TokenType::Record(std::move(enriched));

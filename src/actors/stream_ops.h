@@ -240,7 +240,8 @@ class DbLookupActor : public Actor {
   uint64_t hits() const { return hits_; }
 
   /// Input layout plus the table's columns as optional fields (unmatched
-  /// records pass through without them).
+  /// records pass through without them). A field named like a column may
+  /// hold either's value: Fire lets the column overwrite it on a match.
   TokenType OutputTokenType(const OutputPort* port,
                             const std::vector<TokenType>& inputs) const override;
 

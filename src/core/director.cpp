@@ -221,8 +221,11 @@ Status Director::FlushActorOutputs(Actor* actor, size_t* emitted) {
       event.timestamp = po.external_timestamp.value_or(clock_->Now());
       event.last_in_wave = true;
     }
-    CWF_RETURN_NOT_OK(po.port->Broadcast(event));
+    // Traced before the broadcast: under OS threads a consumer may fire on
+    // the event as soon as it lands, and the trace replay must meet the
+    // event's record before the firing that consumes it.
     telemetry_.RecordEmit(event, po.port->remote_receivers().size());
+    CWF_RETURN_NOT_OK(po.port->Broadcast(event));
   }
   outputs.clear();
   return Status::OK();

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "common/logging.h"
@@ -307,7 +308,7 @@ class IngestServer::Shard {
               conn->fatal = true;  // no line-protocol channel on this server
               return;
             }
-            HandleTuple(conn, server_->default_slot_, std::string(line));
+            HandleTuple(conn, server_->default_slot_, line);
           });
       if (!st.ok()) {
         // Oversized line: same boundary violation as an oversized frame.
@@ -324,7 +325,7 @@ class IngestServer::Shard {
   /// Decode one tuple body, schema-check it at the trust boundary, and
   /// deposit (or stage) it.
   void HandleTuple(Connection* conn, ChannelSlot* slot,
-                   const std::string& body) {
+                   std::string_view body) {
     if (conn->fatal) {
       return;  // a deposit already hit a closed channel mid-buffer
     }
@@ -524,7 +525,7 @@ class IngestServer::Shard {
         // its final tuple.
         conn->line_decoder.Finish([this, conn](std::string_view line) {
           if (server_->default_slot_ != nullptr) {
-            HandleTuple(conn, server_->default_slot_, std::string(line));
+            HandleTuple(conn, server_->default_slot_, line);
           }
         });
       } else if (conn->protocol == WireProtocol::kBinary &&

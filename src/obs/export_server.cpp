@@ -212,6 +212,10 @@ std::string MetricsServer::HandleRequest(const std::string& path) const {
       Profiler::Global().Site("<export>", ProfilePhase::kSerialization);
 #endif
   CWF_PROFILE_SCOPE(serialize_site);
+  if (path == "/metrics" || path == "/metrics.json") {
+    // cwf_wave_latency_us is fed by the trace replay; bring it up to date.
+    GlobalTracer().Replay();
+  }
   if (path == "/metrics") {
     return HttpResponse("200 OK", "text/plain; version=0.0.4",
                         registry_->RenderPrometheus());

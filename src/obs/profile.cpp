@@ -6,7 +6,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
 
 #include "obs/trace_buffer.h"
 
@@ -335,18 +334,6 @@ std::string RenderProfileJson(const ProfileSnapshot& snapshot) {
 
 namespace {
 
-/// Per-wave reconstruction scratch: spans grouped while walking the ring.
-struct WaveScratch {
-  bool born_seen = false;
-  bool closed = false;
-  int64_t latency_us = 0;
-  uint32_t terminal_tid = 0;  ///< processing track of the last firing
-  /// (tid, queueing?) → summed span µs
-  std::map<std::pair<uint32_t, bool>, int64_t> spans;
-  /// open kFiringBegin timestamps per processing track (LIFO per tid)
-  std::map<uint32_t, std::vector<int64_t>> open_firings;
-};
-
 struct GroupScratch {
   uint64_t waves = 0;
   int64_t total_latency_us = 0;
@@ -357,12 +344,9 @@ struct GroupScratch {
 
 CriticalPathReport ComputeCriticalPaths(const WaveTracer& tracer,
                                         size_t top_n) {
-  const std::vector<TraceEvent> events = tracer.buffer().SnapshotEvents();
+  const TraceReplay replay = tracer.Replay();
   const std::vector<std::string> tracks = tracer.TrackNames();
   const auto track_name = [&tracks](uint32_t tid) -> std::string {
-    if (tid < 10) {
-      return "<wave>";
-    }
     const size_t index = (tid - 10) / 2;
     if (index < tracks.size()) {
       return tracks[index];
@@ -370,69 +354,24 @@ CriticalPathReport ComputeCriticalPaths(const WaveTracer& tracer,
     return "<track " + std::to_string(tid) + ">";
   };
 
-  // Pass 1: reconstruct every wave present in the ring. Events are oldest
-  // first, so a wave whose kWaveBorn marker is absent lost its head to ring
-  // wraparound — it must not be attributed from a partial chain.
-  std::unordered_map<uint64_t, WaveScratch> waves;
-  for (const TraceEvent& event : events) {
-    WaveScratch& wave = waves[event.wave_root];
-    switch (event.kind) {
-      case TraceEvent::Kind::kWaveBorn:
-        wave.born_seen = true;
-        break;
-      case TraceEvent::Kind::kWaveSpan:
-        wave.closed = true;
-        wave.latency_us = event.dur;
-        break;
-      case TraceEvent::Kind::kFiringBegin:
-        wave.open_firings[event.tid].push_back(event.ts);
-        break;
-      case TraceEvent::Kind::kFiringEnd: {
-        auto it = wave.open_firings.find(event.tid);
-        if (it == wave.open_firings.end() || it->second.empty()) {
-          // The matching begin predates the ring: partial chain.
-          wave.born_seen = false;
-          break;
-        }
-        const int64_t begin_ts = it->second.back();
-        it->second.pop_back();
-        wave.spans[{event.tid, false}] += event.ts - begin_ts;
-        wave.terminal_tid = event.tid;
-        break;
-      }
-      case TraceEvent::Kind::kQueued:
-        wave.spans[{event.tid, true}] += event.dur;
-        break;
-      case TraceEvent::Kind::kWaveClosed:
-      case TraceEvent::Kind::kInstant:
-        break;
-    }
-  }
-
-  // Pass 2: aggregate attributable waves per terminal actor.
+  // Aggregate attributable waves per terminal actor.
   CriticalPathReport report;
   std::map<std::string, GroupScratch> groups;
-  for (const auto& [root, wave] : waves) {
-    static_cast<void>(root);
+  for (const WaveChain& wave : replay.waves) {
     if (!wave.closed) {
       continue;  // still in flight; neither analyzed nor truncated
     }
-    if (!wave.born_seen) {
+    if (!wave.attributable) {
       ++report.truncated_waves;
       continue;
     }
     ++report.waves_analyzed;
-    const std::string terminal = wave.terminal_tid == 0
-                                     ? "<no-firing>"
-                                     : track_name(wave.terminal_tid);
-    GroupScratch& group = groups[terminal];
+    GroupScratch& group = groups[track_name(wave.terminal_tid)];
     ++group.waves;
     group.total_latency_us += wave.latency_us;
     for (const auto& [span_key, us] : wave.spans) {
       const auto& [tid, queueing] = span_key;
-      // Queueing spans live on tid 11+2i; resolve to the consuming actor.
-      const std::string actor = track_name(queueing ? tid - 1 : tid);
-      group.contributors[{actor, queueing}] += us;
+      group.contributors[{track_name(tid), queueing}] += us;
     }
   }
 

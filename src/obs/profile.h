@@ -54,7 +54,7 @@ enum class ProfilePhase : uint8_t {
   kFire,                   ///< actor fire() proper (self time)
   kPostfire,               ///< postfire()
   kWaveOpen,               ///< stamping/broadcast bookkeeping of new events
-  kWaveClose,              ///< wave-closure bookkeeping in the tracer
+  kWaveClose,              ///< the tracer's firing record (an append)
   kAllocation,             ///< wave/token/output-buffer allocation
   kBlocked,                ///< producer blocked on backpressure (Put wait)
   kSerialization,          ///< wire encode/decode + exposition rendering
@@ -239,11 +239,11 @@ struct CriticalPathReport {
   uint64_t truncated_waves = 0;
 };
 
-/// \brief Reconstruct each closed wave's birth→closure chain from the
-/// tracer's ring buffer and aggregate the dominating contributors, top
-/// `top_n` per terminal actor. Waves whose early spans were evicted by ring
-/// wraparound are dropped and counted (cwf_trace_truncated_waves), not
-/// partially attributed.
+/// \brief Aggregate the dominating contributors of each closed wave's
+/// birth→closure chain, as the tracer's replay rebuilt it
+/// (WaveTracer::Replay), top `top_n` per terminal actor. Waves whose birth
+/// or any firing's begin the ring overwrote are dropped and counted
+/// (cwf_trace_truncated_waves), not partially attributed.
 CriticalPathReport ComputeCriticalPaths(const WaveTracer& tracer,
                                         size_t top_n = 3);
 

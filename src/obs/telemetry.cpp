@@ -12,7 +12,7 @@ WaveTracer& GlobalTracer() {
   return *tracer;
 }
 
-void ResetGlobalTracer() { GlobalTracer().ResetTopology(/*clear_buffer=*/true); }
+void ResetGlobalTracer() { GlobalTracer().Reset(); }
 
 namespace {
 
@@ -38,7 +38,7 @@ void RegisterHelp(MetricsRegistry& reg) {
               "Events queued engine-wide at each scheduler decision");
   reg.SetHelp("cwf_wave_latency_us",
               "Wave birth-to-closure latency in engine microseconds "
-              "(recorded while tracing is enabled)");
+              "(replayed from the trace when it is read)");
   reg.SetHelp("cwf_receiver_puts_total", "Events deposited, per channel");
   reg.SetHelp("cwf_receiver_gets_total", "Windows retrieved, per channel");
   reg.SetHelp("cwf_receiver_depth",

@@ -38,7 +38,7 @@ namespace cwf::obs {
 /// directors included — one timeline).
 WaveTracer& GlobalTracer();
 
-/// \brief Clear the global tracer's tracks, live waves and ring buffer.
+/// \brief Clear the global tracer's tracks and ring buffer.
 /// Tools and tests call this between runs; directors never do (another
 /// director may still be live).
 void ResetGlobalTracer();

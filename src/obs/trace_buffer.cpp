@@ -4,19 +4,13 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <unordered_map>
 
+#include "common/check.h"
 #include "core/wave.h"
 #include "obs/metrics.h"
 
 namespace cwf::obs {
-namespace {
-
-/// Live-wave table cap: waves whose events expire out of window scope are
-/// never consumed, so the oldest entry is evicted once the table fills.
-constexpr size_t kMaxLiveWaves = 8192;
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // TraceBuffer
@@ -27,51 +21,42 @@ TraceBuffer::TraceBuffer(size_t capacity)
   ring_.reserve(std::min<size_t>(capacity_, 4096));
 }
 
-void TraceBuffer::Append(const TraceEvent& event) {
+void TraceBuffer::Append(std::initializer_list<TraceEvent> events) {
   ScopedLock lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(event);
-  } else {
-    ring_[next_ % capacity_] = event;
+  for (const TraceEvent& event : events) {
+    if (ring_.size() < capacity_) {
+      ring_.push_back(event);
+    } else {
+      ring_[appended_ % capacity_] = event;
+    }
+    ++appended_;
   }
-  ++next_;
-  ++appended_;
 }
 
-std::vector<TraceEvent> TraceBuffer::SnapshotEvents() const {
+TraceBuffer::Snapshot TraceBuffer::TakeSnapshot() const {
   ScopedLock lock(mutex_);
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
+  Snapshot out;
   if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // Ring wrapped: oldest entry is at the write cursor.
-    const size_t start = next_ % capacity_;
-    out.insert(out.end(), ring_.begin() + start, ring_.end());
-    out.insert(out.end(), ring_.begin(), ring_.begin() + start);
+    out.events = ring_;
+    return out;
   }
+  // Ring wrapped: the oldest record is at the write cursor.
+  const size_t start = appended_ % capacity_;
+  out.events.reserve(capacity_);
+  out.events.insert(out.events.end(), ring_.begin() + start, ring_.end());
+  out.events.insert(out.events.end(), ring_.begin(), ring_.begin() + start);
+  out.first_index = appended_ - capacity_;
   return out;
-}
-
-uint64_t TraceBuffer::total_appended() const {
-  ScopedLock lock(mutex_);
-  return appended_;
-}
-
-uint64_t TraceBuffer::dropped() const {
-  ScopedLock lock(mutex_);
-  return appended_ > ring_.size() ? appended_ - ring_.size() : 0;
 }
 
 void TraceBuffer::Clear() {
   ScopedLock lock(mutex_);
   ring_.clear();
-  next_ = 0;
   appended_ = 0;
 }
 
 // ---------------------------------------------------------------------------
-// WaveTracer
+// WaveTracer: append side
 // ---------------------------------------------------------------------------
 
 uint32_t WaveTracer::RegisterTrack(const std::string& actor_name) {
@@ -84,149 +69,185 @@ uint32_t WaveTracer::RegisterTrack(const std::string& actor_name) {
   return 10 + 2 * it->second;
 }
 
-void WaveTracer::ResetTopology(bool clear_buffer) {
+void WaveTracer::Reset() {
   {
     ScopedLock lock(mutex_);
     track_names_.clear();
     track_index_.clear();
-    live_.clear();
   }
-  if (clear_buffer) {
-    buffer_.Clear();
-  }
+  buffer_.Clear();
+  ScopedLock lock(feed_mutex_);
+  fed_through_ = 0;
 }
 
 void WaveTracer::OnEventEmitted(const WaveTag& wave, Timestamp event_ts,
                                 size_t fanout) {
-  const uint64_t root = wave.root();
-  bool born = false;
-  {
-    ScopedLock lock(mutex_);
-    auto [it, inserted] = live_.try_emplace(root);
-    if (inserted) {
-      if (live_.size() > kMaxLiveWaves) {
-        // Evict the entry with the oldest birth (expired, never closing).
-        auto oldest = live_.begin();
-        for (auto walk = live_.begin(); walk != live_.end(); ++walk) {
-          if (walk->second.birth < oldest->second.birth) {
-            oldest = walk;
-          }
-        }
-        if (oldest != it) {
-          live_.erase(oldest);
-        }
-      }
-      it->second.birth = event_ts;
-      it->second.last_done = event_ts;
-      if (wave.depth() == 0) {
-        born = true;
-        ++waves_born_;
-      }
-    }
-    it->second.in_flight += static_cast<int64_t>(fanout);
-  }
-  if (born) {
-    TraceEvent ev;
-    ev.kind = TraceEvent::Kind::kWaveBorn;
-    ev.ts = event_ts.micros();
-    ev.tid = 1;
-    ev.wave_root = root;
-    buffer_.Append(ev);
-  }
+  buffer_.Append({{.ts = event_ts.micros(),
+                   .wave_root = wave.root(),
+                   .tid = 1,
+                   .kind = wave.depth() == 0 ? TraceEvent::Kind::kWaveBorn
+                                             : TraceEvent::Kind::kEmit,
+                   .emitted = static_cast<uint32_t>(fanout)}});
 }
 
 void WaveTracer::OnFiring(uint32_t tid, const WaveTag* wave, Timestamp start,
                           Timestamp end, size_t consumed, size_t emitted) {
-  uint64_t root = 0;
-  bool queued_span = false;
-  Timestamp queued_from;
-  bool closed = false;
-  Timestamp birth;
-  if (wave != nullptr) {
-    root = wave->root();
-    ScopedLock lock(mutex_);
-    auto it = live_.find(root);
-    if (it != live_.end()) {
-      LiveWave& lw = it->second;
-      if (start > lw.last_done) {
-        queued_span = true;
-        queued_from = lw.last_done;
-      }
-      lw.last_done = end;
-      lw.in_flight -= static_cast<int64_t>(consumed);
-      if (lw.in_flight <= 0) {
-        closed = true;
-        birth = lw.birth;
-        ++waves_closed_;
-        live_.erase(it);
-      }
-    }
-  }
-
-  if (queued_span) {
-    TraceEvent q;
-    q.kind = TraceEvent::Kind::kQueued;
-    q.ts = queued_from.micros();
-    q.dur = start - queued_from;
-    q.tid = tid + 1;  // the actor's queueing track
-    q.wave_root = root;
-    buffer_.Append(q);
-  }
-  TraceEvent b;
-  b.kind = TraceEvent::Kind::kFiringBegin;
-  b.ts = start.micros();
-  b.tid = tid;
-  b.wave_root = root;
-  b.consumed = static_cast<uint32_t>(consumed);
-  b.emitted = static_cast<uint32_t>(emitted);
-  buffer_.Append(b);
-  TraceEvent e;
-  e.kind = TraceEvent::Kind::kFiringEnd;
-  e.ts = end.micros();
-  e.tid = tid;
-  e.wave_root = root;
-  buffer_.Append(e);
-  if (closed) {
-    if (Histogram* sink = latency_sink_.load(std::memory_order_acquire)) {
-      sink->Record(end - birth);
-    }
-    TraceEvent c;
-    c.kind = TraceEvent::Kind::kWaveClosed;
-    c.ts = end.micros();
-    c.tid = 1;
-    c.wave_root = root;
-    buffer_.Append(c);
-    TraceEvent span;
-    span.kind = TraceEvent::Kind::kWaveSpan;
-    span.ts = birth.micros();
-    span.dur = end - birth;
-    span.tid = 1;
-    span.wave_root = root;
-    buffer_.Append(span);
-  }
+  const uint64_t root = wave != nullptr ? wave->root() : 0;
+  // Adjacent in the ring, so the replay reads a firing as one B/E pair.
+  buffer_.Append({{.ts = start.micros(),
+                   .wave_root = root,
+                   .tid = tid,
+                   .kind = TraceEvent::Kind::kFiringBegin,
+                   .consumed = static_cast<uint32_t>(consumed),
+                   .emitted = static_cast<uint32_t>(emitted)},
+                  {.ts = end.micros(),
+                   .wave_root = root,
+                   .tid = tid,
+                   .kind = TraceEvent::Kind::kFiringEnd}});
 }
 
 void WaveTracer::Instant(uint32_t tid, Timestamp now) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::kInstant;
-  ev.ts = now.micros();
-  ev.tid = tid;
-  buffer_.Append(ev);
+  buffer_.Append(
+      {{.ts = now.micros(), .tid = tid, .kind = TraceEvent::Kind::kInstant}});
 }
 
-size_t WaveTracer::live_waves() const {
-  ScopedLock lock(mutex_);
-  return live_.size();
-}
+// ---------------------------------------------------------------------------
+// WaveTracer: read side
+// ---------------------------------------------------------------------------
 
-uint64_t WaveTracer::waves_born() const {
-  ScopedLock lock(mutex_);
-  return waves_born_;
-}
+TraceReplay WaveTracer::Replay() const {
+  Histogram* sink = latency_sink_.load(std::memory_order_acquire);
+  ScopedLock feed_lock(feed_mutex_);  // one replay feeds the sink at a time
+  const TraceBuffer::Snapshot snapshot = buffer_.TakeSnapshot();
+  const std::vector<TraceEvent>& ring = snapshot.events;
+  // Once the ring has overwritten records, a firing of a wave the replay
+  // has not met yet belongs to a wave whose head is gone.
+  const bool head_lost = snapshot.first_index > 0;
 
-uint64_t WaveTracer::waves_closed() const {
-  ScopedLock lock(mutex_);
-  return waves_closed_;
+  struct Lineage {
+    bool open = false;      ///< in flight
+    bool headless = false;  ///< first met at a firing after head_lost
+    int64_t birth = 0;
+    int64_t last_done = 0;  ///< engine time it last finished processing
+    int64_t in_flight = 0;
+    WaveChain chain;
+  };
+  std::unordered_map<uint64_t, Lineage> lineages;
+  uint64_t headless = 0;
+
+  TraceReplay out;
+  out.timeline.reserve(ring.size());
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const TraceEvent& ev = ring[i];
+    switch (ev.kind) {
+      case TraceEvent::Kind::kWaveBorn:
+      case TraceEvent::Kind::kEmit: {
+        Lineage& wave = lineages[ev.wave_root];
+        if (!wave.open) {
+          // The first stamped event of a wave (or the first after it
+          // closed) opens it; only a depth-0 one births it.
+          wave.open = true;
+          wave.headless = false;
+          wave.birth = wave.last_done = ev.ts;
+          wave.in_flight = 0;
+          if (ev.kind == TraceEvent::Kind::kWaveBorn) {
+            ++out.born;
+            wave.chain.attributable = true;
+            out.timeline.push_back(ev);
+          }
+        }
+        wave.in_flight += ev.emitted;
+        break;
+      }
+      case TraceEvent::Kind::kFiringBegin: {
+        CWF_DCHECK(i + 1 < ring.size() &&
+                   ring[i + 1].kind == TraceEvent::Kind::kFiringEnd);
+        const TraceEvent& begin = ev;
+        const TraceEvent& end = ring[++i];
+        Lineage* wave = nullptr;
+        bool closes = false;
+        if (begin.wave_root != 0) {
+          auto [it, first_met] = lineages.try_emplace(begin.wave_root);
+          wave = &it->second;
+          if (first_met && head_lost) {
+            // Its in-flight count is lost; count from zero, and start no
+            // queued span (its wait began before the ring's oldest record).
+            wave->open = true;
+            wave->headless = true;
+            wave->last_done = begin.ts;
+            ++headless;
+          }
+          if (wave->open) {
+            if (begin.ts > wave->last_done) {
+              const int64_t queued = begin.ts - wave->last_done;
+              out.timeline.push_back({.ts = wave->last_done,
+                                      .dur = queued,
+                                      .wave_root = begin.wave_root,
+                                      .tid = begin.tid + 1,  // queue track
+                                      .kind = TraceEvent::Kind::kQueued});
+              wave->chain.spans[{begin.tid, true}] += queued;
+            }
+            wave->last_done = end.ts;
+            wave->in_flight -= begin.consumed;
+            // A headless count started at zero, so only a firing that
+            // passes nothing on may be taken for the wave's last.
+            closes = wave->in_flight <= 0 &&
+                     (!wave->headless || begin.emitted == 0);
+          }
+          wave->chain.spans[{begin.tid, false}] += end.ts - begin.ts;
+          wave->chain.terminal_tid = begin.tid;
+        }
+        out.timeline.push_back(begin);
+        out.timeline.push_back(end);
+        if (closes) {
+          wave->open = false;
+          wave->chain.closed = true;
+          if (!wave->headless) {
+            ++out.closed;
+            const int64_t latency = end.ts - wave->birth;
+            wave->chain.latency_us = latency;
+            if (sink != nullptr && snapshot.first_index + i >= fed_through_) {
+              sink->Record(latency);
+            }
+            out.timeline.push_back({.ts = end.ts,
+                                    .wave_root = begin.wave_root,
+                                    .tid = 1,
+                                    .kind = TraceEvent::Kind::kWaveClosed});
+            out.timeline.push_back({.ts = wave->birth,
+                                    .dur = latency,
+                                    .wave_root = begin.wave_root,
+                                    .tid = 1,
+                                    .kind = TraceEvent::Kind::kWaveSpan});
+          }
+        }
+        break;
+      }
+      case TraceEvent::Kind::kFiringEnd:
+        // Only the ring's oldest record can be an E whose B was
+        // overwritten; that firing's wave is met later as headless.
+      case TraceEvent::Kind::kInstant:
+        out.timeline.push_back(ev);
+        break;
+      case TraceEvent::Kind::kQueued:
+      case TraceEvent::Kind::kWaveClosed:
+      case TraceEvent::Kind::kWaveSpan:
+        break;  // derived here, never appended
+    }
+  }
+
+  out.waves.reserve(lineages.size());
+  for (auto& [root, wave] : lineages) {
+    static_cast<void>(root);
+    if (wave.open && !wave.headless) {
+      ++out.live;
+    }
+    out.waves.push_back(std::move(wave.chain));
+  }
+  out.born += headless;
+  out.closed += headless;
+
+  fed_through_ = snapshot.first_index + ring.size();
+  return out;
 }
 
 std::vector<std::string> WaveTracer::TrackNames() const {
@@ -235,12 +256,7 @@ std::vector<std::string> WaveTracer::TrackNames() const {
 }
 
 std::string WaveTracer::RenderChromeJson() const {
-  std::vector<TraceEvent> events = buffer_.SnapshotEvents();
-  std::vector<std::string> tracks;
-  {
-    ScopedLock lock(mutex_);
-    tracks = track_names_;
-  }
+  std::vector<TraceEvent> events = Replay().timeline;
   // The exported timeline must be ts-ordered (and a stable sort keeps each
   // B before its matching E when a firing has zero duration).
   std::stable_sort(events.begin(), events.end(),
@@ -248,91 +264,103 @@ std::string WaveTracer::RenderChromeJson() const {
                      return a.ts < b.ts;
                    });
 
-  auto track_name = [&](uint32_t tid) -> std::string {
-    if (tid == 1) {
-      return "waves";
+  // Track names by tid.
+  const std::vector<std::string> tracks = TrackNames();
+  std::vector<std::string> names(10 + 2 * tracks.size());
+  names[1] = "waves";
+  for (size_t i = 0; i < tracks.size(); ++i) {
+    names[10 + 2 * i] = tracks[i];
+    names[11 + 2 * i] = tracks[i] + " (queue)";
+  }
+  std::string unknown;
+  auto track_name = [&](uint32_t tid) -> const char* {
+    if (tid < names.size() && !names[tid].empty()) {
+      return names[tid].c_str();
     }
-    const size_t index = (tid - 10) / 2;
-    if (index >= tracks.size()) {
-      return "track" + std::to_string(tid);
-    }
-    return (tid % 2 == 0) ? tracks[index] : tracks[index] + " (queue)";
+    unknown = "track" + std::to_string(tid);
+    return unknown.c_str();
   };
 
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  std::string out;
+  out.reserve(512 + events.size() * 128);
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   // Metadata first: process name plus one thread_name record per track.
-  out << R"({"name":"process_name","cat":"__metadata","ph":"M","ts":0,)"
-      << R"("pid":1,"tid":1,"args":{"name":"confluence"}})";
-  out << ",\n"
-      << R"({"name":"thread_name","cat":"__metadata","ph":"M","ts":0,)"
-      << R"("pid":1,"tid":1,"args":{"name":"waves"}})";
-  for (size_t i = 0; i < tracks.size(); ++i) {
-    for (uint32_t offset = 0; offset < 2; ++offset) {
-      const uint32_t tid = 10 + 2 * static_cast<uint32_t>(i) + offset;
-      out << ",\n"
-          << R"({"name":"thread_name","cat":"__metadata","ph":"M","ts":0,)"
-          << R"("pid":1,"tid":)" << tid << R"(,"args":{"name":")"
-          << track_name(tid) << R"("}})";
+  out += R"({"name":"process_name","cat":"__metadata","ph":"M","ts":0,)"
+         R"("pid":1,"tid":1,"args":{"name":"confluence"}})";
+  char line[512];
+  for (uint32_t tid = 1; tid < names.size(); ++tid) {
+    if (names[tid].empty()) {
+      continue;
     }
+    std::snprintf(line, sizeof(line),
+                  ",\n{\"name\":\"thread_name\",\"cat\":\"__metadata\","
+                  "\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":%u,"
+                  "\"args\":{\"name\":\"%s\"}}",
+                  tid, names[tid].c_str());
+    out += line;
   }
 
-  char line[512];
   for (const TraceEvent& ev : events) {
-    const std::string wave = "t" + std::to_string(ev.wave_root);
+    int n = 0;
     switch (ev.kind) {
       case TraceEvent::Kind::kFiringBegin:
-        std::snprintf(line, sizeof(line),
-                      "{\"name\":\"%s\",\"cat\":\"firing\",\"ph\":\"B\","
-                      "\"ts\":%" PRId64
-                      ",\"pid\":1,\"tid\":%u,\"args\":{\"wave\":\"%s\","
-                      "\"consumed\":%u,\"emitted\":%u}}",
-                      track_name(ev.tid).c_str(), ev.ts, ev.tid, wave.c_str(),
-                      ev.consumed, ev.emitted);
+        n = std::snprintf(line, sizeof(line),
+                          ",\n{\"name\":\"%s\",\"cat\":\"firing\",\"ph\":\"B\","
+                          "\"ts\":%" PRId64
+                          ",\"pid\":1,\"tid\":%u,\"args\":{\"wave\":\"t%" PRIu64
+                          "\",\"consumed\":%u,\"emitted\":%u}}",
+                          track_name(ev.tid), ev.ts, ev.tid, ev.wave_root,
+                          ev.consumed, ev.emitted);
         break;
       case TraceEvent::Kind::kFiringEnd:
-        std::snprintf(line, sizeof(line),
-                      "{\"name\":\"%s\",\"cat\":\"firing\",\"ph\":\"E\","
-                      "\"ts\":%" PRId64 ",\"pid\":1,\"tid\":%u}",
-                      track_name(ev.tid).c_str(), ev.ts, ev.tid);
+        n = std::snprintf(line, sizeof(line),
+                          ",\n{\"name\":\"%s\",\"cat\":\"firing\",\"ph\":\"E\","
+                          "\"ts\":%" PRId64 ",\"pid\":1,\"tid\":%u}",
+                          track_name(ev.tid), ev.ts, ev.tid);
         break;
       case TraceEvent::Kind::kQueued:
-        std::snprintf(line, sizeof(line),
-                      "{\"name\":\"queued\",\"cat\":\"queue\",\"ph\":\"X\","
-                      "\"ts\":%" PRId64 ",\"dur\":%" PRId64
-                      ",\"pid\":1,\"tid\":%u,\"args\":{\"wave\":\"%s\"}}",
-                      ev.ts, ev.dur, ev.tid, wave.c_str());
+        n = std::snprintf(line, sizeof(line),
+                          ",\n{\"name\":\"queued\",\"cat\":\"queue\",\"ph\":"
+                          "\"X\",\"ts\":%" PRId64 ",\"dur\":%" PRId64
+                          ",\"pid\":1,\"tid\":%u,\"args\":{\"wave\":\"t%" PRIu64
+                          "\"}}",
+                          ev.ts, ev.dur, ev.tid, ev.wave_root);
         break;
       case TraceEvent::Kind::kWaveBorn:
       case TraceEvent::Kind::kWaveClosed:
-        std::snprintf(
+        n = std::snprintf(
             line, sizeof(line),
-            "{\"name\":\"wave %s %s\",\"cat\":\"wave\",\"ph\":\"i\","
-            "\"ts\":%" PRId64
-            ",\"pid\":1,\"tid\":1,\"s\":\"p\",\"args\":{\"wave\":\"%s\"}}",
-            wave.c_str(),
+            ",\n{\"name\":\"wave t%" PRIu64
+            " %s\",\"cat\":\"wave\",\"ph\":\"i\",\"ts\":%" PRId64
+            ",\"pid\":1,\"tid\":1,\"s\":\"p\",\"args\":{\"wave\":\"t%" PRIu64
+            "\"}}",
+            ev.wave_root,
             ev.kind == TraceEvent::Kind::kWaveBorn ? "born" : "closed", ev.ts,
-            wave.c_str());
+            ev.wave_root);
         break;
       case TraceEvent::Kind::kWaveSpan:
-        std::snprintf(line, sizeof(line),
-                      "{\"name\":\"wave %s\",\"cat\":\"wave\",\"ph\":\"X\","
-                      "\"ts\":%" PRId64 ",\"dur\":%" PRId64
-                      ",\"pid\":1,\"tid\":1,\"args\":{\"wave\":\"%s\"}}",
-                      wave.c_str(), ev.ts, ev.dur, wave.c_str());
+        n = std::snprintf(line, sizeof(line),
+                          ",\n{\"name\":\"wave t%" PRIu64
+                          "\",\"cat\":\"wave\",\"ph\":\"X\",\"ts\":%" PRId64
+                          ",\"dur\":%" PRId64
+                          ",\"pid\":1,\"tid\":1,\"args\":{\"wave\":\"t%" PRIu64
+                          "\"}}",
+                          ev.wave_root, ev.ts, ev.dur, ev.wave_root);
         break;
+      case TraceEvent::Kind::kEmit:
+        continue;  // never in the timeline
       case TraceEvent::Kind::kInstant:
-        std::snprintf(line, sizeof(line),
-                      "{\"name\":\"pick\",\"cat\":\"sched\",\"ph\":\"i\","
-                      "\"ts\":%" PRId64
-                      ",\"pid\":1,\"tid\":%u,\"s\":\"t\"}",
-                      ev.ts, ev.tid);
+        n = std::snprintf(line, sizeof(line),
+                          ",\n{\"name\":\"pick\",\"cat\":\"sched\",\"ph\":\"i\","
+                          "\"ts\":%" PRId64
+                          ",\"pid\":1,\"tid\":%u,\"s\":\"t\"}",
+                          ev.ts, ev.tid);
         break;
     }
-    out << ",\n" << line;
+    out.append(line, static_cast<size_t>(std::min<int>(n, sizeof(line) - 1)));
   }
-  out << "\n]}\n";
-  return out.str();
+  out += "\n]}\n";
+  return out;
 }
 
 Status WaveTracer::WriteChromeJson(const std::string& path) const {

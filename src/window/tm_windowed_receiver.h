@@ -4,7 +4,7 @@
 // produced window is *not* kept locally — it is enqueued at the consuming
 // actor's ready queue inside the scheduler. When the director decides to run
 // that actor it dequeues the window and deposits it into this receiver's
-// buffer, making it available to the next get() issued by the actor's
+// ready queue, making it available to the next get() issued by the actor's
 // fire().
 
 #ifndef CONFLUENCE_WINDOW_TM_WINDOWED_RECEIVER_H_
@@ -28,8 +28,8 @@ class TMWindowedReceiver : public WindowedReceiver {
       : WindowedReceiver(port, std::move(spec)),
         callback_(std::move(callback)) {}
 
-  /// \brief Director-side: deposit a scheduler-dequeued window into the
-  /// buffer read by the actor's next get().
+  /// \brief Director-side: deposit a scheduler-dequeued window on the
+  /// inherited ready queue read by the actor's next get().
   ///
   /// Only windows this receiver itself produced (routed out through the
   /// ready callback) may come back: more deliveries than productions means
@@ -43,22 +43,9 @@ class TMWindowedReceiver : public WindowedReceiver {
                        << delivered_ << " delivered, " << produced_
                        << " produced)");
     ++delivered_;
-    buffer_.push_back(std::move(w));
+    ready_.push_back(std::move(w));
     RecordDepth();
   }
-
-  bool HasWindow() const override { return !buffer_.empty(); }
-
-  std::optional<Window> Get() override {
-    if (buffer_.empty()) {
-      return std::nullopt;
-    }
-    Window w = std::move(buffer_.front());
-    buffer_.pop_front();
-    return w;
-  }
-
-  size_t ReadyWindowCount() const override { return buffer_.size(); }
 
  protected:
   void OnWindowProduced(Window w) override {
@@ -68,7 +55,6 @@ class TMWindowedReceiver : public WindowedReceiver {
 
  private:
   ReadyCallback callback_;
-  std::deque<Window> buffer_;
   uint64_t produced_ = 0;
   uint64_t delivered_ = 0;
 };

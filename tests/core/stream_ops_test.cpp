@@ -261,6 +261,39 @@ TEST(DbLookupActorTest, EnrichesMatchedPassesUnmatched) {
   EXPECT_EQ(lk->hits(), 1u);
 }
 
+TEST(DbLookupActorTest, DeclaredTypeAdmitsAColumnOverwritingAField) {
+  // The record's int "label" clashes with the table's string column: a
+  // match overwrites it with the column's string, an unmatched record keeps
+  // its int, and the statically resolved output type must admit both.
+  StoreRig store;
+  ASSERT_TRUE(store.table->Insert({Value(1), Value("gold")}).ok());
+  Workflow wf("w");
+  auto feed = std::make_shared<PushChannel>();
+  auto* src = wf.AddActor<StreamSourceActor>("src", feed);
+  auto* lk = wf.AddActor<DbLookupActor>("lk", &store.database, "kv",
+                                        std::vector<std::string>{"k"});
+  auto* sink = wf.AddActor<CollectorSink>("sink");
+  ASSERT_TRUE(wf.Connect(src->out(), lk->in()).ok());
+  ASSERT_TRUE(wf.Connect(lk->out(), sink->in()).ok());
+  const TokenType declared = lk->OutputTokenType(
+      lk->out(), {TokenType::Record(RecordSchema().Int("k").Int("label"))});
+  feed->Push(Rec({{"k", 1}, {"label", 7}}), Timestamp::Seconds(1));
+  feed->Push(Rec({{"k", 2}, {"label", 8}}), Timestamp::Seconds(2));
+  feed->Close();
+  VirtualClock clock;
+  DDFDirector d;
+  ASSERT_TRUE(d.Initialize(&wf, &clock, nullptr).ok());
+  ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
+  auto got = sink->TakeSnapshot();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].token.Field("label").AsString(), "gold");
+  EXPECT_EQ(got[1].token.Field("label").AsInt(), 8);
+  for (const auto& event : got) {
+    EXPECT_TRUE(declared.CheckToken(event.token).ok())
+        << declared.ToString() << " rejects " << event.token.ToString();
+  }
+}
+
 TEST(DbActorsTest, UnknownTableFailsInitialize) {
   db::Database database;
   Workflow wf("w");
