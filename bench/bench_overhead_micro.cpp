@@ -8,7 +8,10 @@
 #include <string>
 
 #include "actors/library.h"
+#include "directors/pncwf_director.h"
 #include "directors/scwf_director.h"
+#include "lrb/harness.h"
+#include "lrb/workflow_builder.h"
 #include "stafilos/edf_scheduler.h"
 #include "stafilos/fifo_scheduler.h"
 #include "stafilos/qbs_scheduler.h"
@@ -162,6 +165,41 @@ void BM_GetNextActorDecision(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GetNextActorDecision);
+
+// Set-up of the Linear Road application: Build + Initialize of the
+// hierarchical workflow (the admission gate of each level, receivers, the
+// scheduler and the DDF composite) under SCWF+QBS (0) and simulated-thread
+// PNCWF (1). Tear-down is not timed.
+void BM_LRBInitialize(benchmark::State& state) {
+  const bool pncwf = state.range(0) == 1;
+  const CostModel costs = lrb::DefaultLRBCostModel();
+  for (auto _ : state) {
+    {
+      auto feed = std::make_shared<PushChannel>();
+      feed->Close();
+      Result<lrb::LRBApplication> app =
+          lrb::BuildLRBApplication(feed, /*hierarchical=*/true);
+      CWF_CHECK(app.ok());
+      VirtualClock clock;
+      std::unique_ptr<Director> director;
+      if (pncwf) {
+        PNCWFOptions options;
+        options.mode = PNCWFMode::kSimulatedThreads;
+        director = std::make_unique<PNCWFDirector>(options);
+      } else {
+        director = std::make_unique<SCWFDirector>(
+            lrb::MakeScheduler(lrb::ExperimentOptions{}));
+      }
+      CWF_CHECK(
+          director->Initialize(app->workflow.get(), &clock, &costs).ok());
+      benchmark::DoNotOptimize(app->workflow.get());
+      state.PauseTiming();
+    }  // tear-down
+    state.ResumeTiming();
+  }
+  state.SetLabel(pncwf ? "PNCWF" : "SCWF+QBS");
+}
+BENCHMARK(BM_LRBInitialize)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace cwf

@@ -126,18 +126,25 @@ std::vector<DirectorAdmission> ComputeAdmissionMatrix(const Workflow& wf) {
   return matrix;
 }
 
-Status VerifyForDirector(const Workflow& wf,
-                         const std::string& director_kind) {
+Status VerifyForDirector(const Workflow& wf, const std::string& director_kind,
+                         SchemaReport* schemas) {
   AnalysisOptions options;
   options.target_director = director_kind;
-  const Analyzer analyzer;
-  const DiagnosticBag diags = analyzer.Analyze(wf, options);
+  options.location_prefix = wf.name();
+  DiagnosticBag diags;
+  StructuralPass().Run(wf, options, &diags);
+  MocAdmissionPass().Run(wf, options, &diags);
+  SchemaReport report = AnalyzeSchemas(wf, options);
+  ReportSchemas(report, options, &diags);
   for (const Diagnostic& d : diags.all()) {
     if (d.severity == Severity::kError) {
       return Status::InvalidArgument("static analysis rejected workflow: [" +
                                      d.code + "] at " + d.location + ": " +
                                      d.message);
     }
+  }
+  if (schemas != nullptr) {
+    *schemas = std::move(report);
   }
   return Status::OK();
 }

@@ -1,11 +1,12 @@
-// The static workflow analyzer: drives the built-in passes (structural,
-// MoC admission, window, scheduler config — plus any added via AddPass)
-// over a workflow and its composite inner workflows, producing one
-// DiagnosticBag per run.
+// The static workflow analyzer: drives the eight built-in passes (plus any
+// added via AddPass) over a workflow and its composite inner workflows,
+// producing one DiagnosticBag per run. cwf_analyze runs it.
 //
-// Director::Initialize gates on VerifyForDirector (the error-severity
-// subset mapped back to Status), so every deployment is analyzed unless
-// the designer opts out with set_static_analysis_enabled(false).
+// Director::Initialize gates on VerifyForDirector instead: only the checks
+// that can refuse a deployment (structural, MoC admission, schema), once,
+// over the director's own level. Each inner level is gated by its own
+// director when the composite initializes. The window, rate, boundedness
+// and synthesized-plan liveness passes run only under cwf_analyze.
 
 #ifndef CONFLUENCE_ANALYSIS_ANALYZER_H_
 #define CONFLUENCE_ANALYSIS_ANALYZER_H_
@@ -20,9 +21,11 @@
 
 namespace cwf::analysis {
 
+struct SchemaReport;
+
 class Analyzer {
  public:
-  /// \brief Constructs with the four built-in passes registered.
+  /// \brief Constructs with the eight built-in passes registered.
   Analyzer();
 
   /// \brief Append a custom pass; it runs after the built-ins at every
@@ -59,11 +62,15 @@ struct DirectorAdmission {
 std::vector<DirectorAdmission> ComputeAdmissionMatrix(
     const Workflow& workflow);
 
-/// \brief The Director::Initialize gate: analyze for `director_kind` and
-/// map the first error-severity finding to InvalidArgument. Warnings and
-/// notes never block.
+/// \brief The Director::Initialize gate for one workflow level: the
+/// structural, MoC-admission (for `director_kind`) and schema checks, with
+/// the first error-severity finding mapped to InvalidArgument. Warnings and
+/// notes never block; composite inner levels are not visited. On success,
+/// `schemas` (when non-null) receives the level's schema resolution, from
+/// which Initialize takes each receiver's expected type.
 Status VerifyForDirector(const Workflow& workflow,
-                         const std::string& director_kind);
+                         const std::string& director_kind,
+                         SchemaReport* schemas = nullptr);
 
 }  // namespace cwf::analysis
 

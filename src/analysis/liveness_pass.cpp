@@ -231,6 +231,13 @@ bool SimulationEligible(const Workflow& workflow,
       return false;
     }
     const WindowSpec& spec = port->spec();
+    if (!spec.Validate().ok()) {
+      // CWF1002: a non-positive size or step never forms (or never leaves)
+      // a window, so the simulated window operator would not terminate.
+      *why_not = "port " + port->FullName() + " has an invalid window (" +
+                 spec.ToString() + ")";
+      return false;
+    }
     if (!spec.IsTrivial() &&
         (spec.unit != WindowUnit::kTuples || !spec.group_by.empty())) {
       *why_not = "port " + port->FullName() +
@@ -762,10 +769,13 @@ void LivenessPass::Run(const Workflow& workflow,
     return;
   }
   // Validate the plan this deployment would actually install: the default
-  // synthesized PlanCapacity output (ensure_liveness folds minimal bumps
-  // in before we ever see it here).
-  const CapacityPlan plan = PlanCapacity(workflow, options);
-  const LivenessReport report = AnalyzeLiveness(workflow, options, plan);
+  // synthesized PlanCapacity output. Synthesis ends by analyzing the final
+  // plan, so its report is the verdict.
+  PlanningOptions planning;
+  planning.ensure_liveness = false;
+  CapacityPlan plan = PlanCapacity(workflow, options, planning);
+  const LivenessReport report =
+      SynthesizeLiveCapacities(workflow, options, &plan);
   ReportLiveness(report, options, diagnostics);
   if (report.blocking_deployment && !plan.liveness_bumps.empty()) {
     std::ostringstream oss;

@@ -1,5 +1,6 @@
 #include "analysis/schema_pass.h"
 
+#include <map>
 #include <sstream>
 
 #include "core/composite_actor.h"
@@ -292,7 +293,6 @@ SchemaReport AnalyzeSchemas(const Workflow& workflow,
     ChannelSchema row;
     row.from = ch.from->FullName();
     row.to = ch.to->FullName() + "[" + std::to_string(ch.to_channel) + "]";
-    row.from_port = ch.from;
     row.to_port = ch.to;
     row.to_channel = ch.to_channel;
     auto it = out_types.find(ch.from);
@@ -303,29 +303,6 @@ SchemaReport AnalyzeSchemas(const Workflow& workflow,
     report.channels.push_back(std::move(row));
   }
   return report;
-}
-
-std::map<std::pair<const InputPort*, size_t>, ResolvedChannelType>
-ResolveChannelTypes(const Workflow& workflow) {
-  std::map<std::pair<const InputPort*, size_t>, ResolvedChannelType> resolved;
-  OutTypes out_types;
-  ResolveLevel(workflow, BoundaryTypes{}, &out_types);
-  for (const ChannelSpec& ch : workflow.channels()) {
-    auto it = out_types.find(ch.from);
-    TokenType type =
-        it != out_types.end() ? it->second : TokenType::Unknown();
-    if (type.is_unknown()) {
-      // No producer-side resolution: fall back to the consumer's own
-      // requirement so the runtime check still attributes violations.
-      type = ch.to->required_schema();
-    }
-    if (type.is_unknown()) {
-      continue;
-    }
-    resolved[{ch.to, ch.to_channel}] =
-        ResolvedChannelType{std::move(type), ChannelDisplayName(ch)};
-  }
-  return resolved;
 }
 
 void ReportSchemas(const SchemaReport& report, const AnalysisOptions& options,

@@ -31,19 +31,18 @@
 //       CWF7008  error    runtime schema violation (emitted by the
 //                         CWF_SCHEMA_CHECK deposit validation, not here)
 //
-// The analysis→runtime edge runs both directions: SchemaPass is registered
-// with the Analyzer, so Director::Initialize refuses mistyped graphs like
-// it refuses deadlocking plans; and Initialize attaches each channel's
-// resolved type to its receiver (ResolveChannelTypes) so the debug-build
-// deposit check in OutputPort::Broadcast turns a lying producer into an
-// attributed CWF7008 error naming the channel and field.
+// The analysis→runtime edge runs both directions: the Director::Initialize
+// gate (VerifyForDirector, analysis/analyzer.h) resolves each level's
+// schemas once with AnalyzeSchemas and refuses mistyped graphs; and
+// Initialize attaches each channel's type from that same report to its
+// receiver (the resolved producer type, else the consumer's requirement)
+// so the debug-build deposit check in OutputPort::Broadcast turns a lying
+// producer into an attributed CWF7008 error naming the channel and field.
 
 #ifndef CONFLUENCE_ANALYSIS_SCHEMA_PASS_H_
 #define CONFLUENCE_ANALYSIS_SCHEMA_PASS_H_
 
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -53,7 +52,6 @@
 namespace cwf {
 
 class InputPort;
-class OutputPort;
 class Workflow;
 
 namespace analysis {
@@ -62,7 +60,6 @@ namespace analysis {
 struct ChannelSchema {
   std::string from;  ///< "A.out"
   std::string to;    ///< "B.in[0]"
-  const OutputPort* from_port = nullptr;
   const InputPort* to_port = nullptr;
   size_t to_channel = 0;
 
@@ -107,26 +104,12 @@ struct SchemaReport {
 SchemaReport AnalyzeSchemas(const Workflow& workflow,
                             const AnalysisOptions& options);
 
-/// \brief The resolved type to enforce at runtime for one receiver.
-struct ResolvedChannelType {
-  TokenType type;
-  std::string channel_name;  ///< "A.out -> B.in[0]"
-};
-
-/// \brief Per-receiver runtime enforcement map for `workflow`, keyed by
-/// (consuming port, channel slot): the resolved producer type when known,
-/// else the consumer's declared requirement. Channels with neither are
-/// omitted (nothing to enforce). Director::Initialize installs the result
-/// on the receivers it builds.
-std::map<std::pair<const InputPort*, size_t>, ResolvedChannelType>
-ResolveChannelTypes(const Workflow& workflow);
-
 /// \brief Fold a report's findings into `diagnostics`.
 void ReportSchemas(const SchemaReport& report, const AnalysisOptions& options,
                    DiagnosticBag* diagnostics);
 
-/// \brief Analyzer pass wrapper (registered by the Analyzer constructor, so
-/// schema verdicts gate Director::Initialize like liveness verdicts).
+/// \brief Analyzer pass wrapper (registered by the Analyzer constructor;
+/// the Initialize gate calls AnalyzeSchemas directly to keep the report).
 class SchemaPass : public AnalysisPass {
  public:
   const char* name() const override { return "schema"; }

@@ -33,10 +33,13 @@ Status Director::Initialize(Workflow* workflow, Clock* clock,
     own_ctx_.clock = clock_;
     own_ctx_.director = this;
   }
+  analysis::SchemaReport schemas;
   if (static_analysis_enabled_) {
-    // Full MoC-aware gate: structural errors plus admission errors for this
-    // director's model of computation (analysis/analyzer.h).
-    CWF_RETURN_NOT_OK(analysis::VerifyForDirector(*workflow_, kind()));
+    // Admission of this level: structural, MoC and schema errors
+    // (analysis/analyzer.h). A composite's inner level is gated by its own
+    // director when the composite initializes below.
+    CWF_RETURN_NOT_OK(
+        analysis::VerifyForDirector(*workflow_, kind(), &schemas));
   } else {
     CWF_RETURN_NOT_OK(workflow_->Validate());
   }
@@ -73,16 +76,21 @@ Status Director::Initialize(Workflow* workflow, Clock* clock,
       }
     }
   }
-  if (static_analysis_enabled_) {
-    // Analysis->runtime feedback edge: attach each channel's statically
-    // resolved token type to its receiver so debug builds (CWF_SCHEMA_CHECK)
-    // validate every deposit against the schema the pass verified, turning
-    // deep-in-actor CHECK-fails into CWF7008 errors naming the channel.
-    for (const auto& [key, resolved] : analysis::ResolveChannelTypes(*workflow_)) {
-      if (Receiver* r = key.first->receiver(key.second)) {
-        r->SetExpectedType(std::make_shared<const TokenType>(resolved.type),
-                           resolved.channel_name);
-      }
+  // Analysis->runtime feedback edge: attach each channel's type from the
+  // gate's schema resolution to its receiver so debug builds
+  // (CWF_SCHEMA_CHECK) validate every deposit against the schema the gate
+  // verified, turning deep-in-actor CHECK-fails into CWF7008 errors naming
+  // the channel. The producer's resolved type wins; without one the
+  // consumer's own requirement still attributes violations.
+  for (const analysis::ChannelSchema& ch : schemas.channels) {
+    const TokenType& type =
+        ch.resolved.is_unknown() ? ch.required : ch.resolved;
+    if (type.is_unknown()) {
+      continue;
+    }
+    if (Receiver* r = ch.to_port->receiver(ch.to_channel)) {
+      r->SetExpectedType(std::make_shared<const TokenType>(type),
+                         ch.from + " -> " + ch.to);
     }
   }
   telemetry_.Bind(*workflow_, kind());

@@ -110,15 +110,20 @@ Result<ExperimentResult> RunLRBExperiment(const ExperimentOptions& options) {
   ExperimentResult result;
   result.scheduler = options.scheduler;
 
-  // 1. Workload.
+  // 1. Workload. PushTrace copies every entry, so the trace is dropped
+  // before the run: kept, it would pin every record until the run ends.
   Generator generator(options.workload);
-  Trace trace = generator.Generate();
+  auto feed = std::make_shared<PushChannel>();
+  Timestamp horizon;
+  {
+    const Trace trace = generator.Generate();
+    horizon = Timestamp(0) + (trace.EndTime() - Timestamp(0)) +
+              options.drain_slack;
+    feed->PushTrace(trace);
+  }
+  feed->Close();
   result.reports_generated = generator.report().position_reports;
   result.accidents_injected = generator.report().accidents_injected;
-
-  auto feed = std::make_shared<PushChannel>();
-  feed->PushTrace(trace);
-  feed->Close();
 
   // 2. Application.
   CWF_ASSIGN_OR_RETURN(LRBApplication app,
@@ -143,8 +148,6 @@ Result<ExperimentResult> RunLRBExperiment(const ExperimentOptions& options) {
 
   CWF_RETURN_NOT_OK(
       director->Initialize(app.workflow.get(), &clock, &options.cost_model));
-  const Timestamp horizon =
-      Timestamp(0) + (trace.EndTime() - Timestamp(0)) + options.drain_slack;
   result.status = director->Run(horizon);
   CWF_RETURN_NOT_OK(director->Wrapup());
 

@@ -70,7 +70,6 @@ Result<LRBApplication> BuildLRBApplication(PushChannelPtr feed,
   CWF_RETURN_NOT_OK(wf->Connect(app.toll_calculator->out(),
                                 app.toll_notification->in()));
 
-  CWF_RETURN_NOT_OK(wf->Validate());
   return app;
 }
 

@@ -32,8 +32,6 @@ void RegisterHelp(MetricsRegistry& reg) {
   reg.SetHelp("cwf_backpressure_deferrals_total",
               "Producer firings deferred against a full plan-bounded queue "
               "(simulated-thread PNCWF)");
-  reg.SetHelp("cwf_events_emitted_total",
-              "Events stamped and broadcast engine-wide");
   reg.SetHelp("cwf_sched_ready_events",
               "Events queued engine-wide at each scheduler decision");
   reg.SetHelp("cwf_wave_latency_us",
@@ -57,7 +55,6 @@ void WorkflowTelemetry::Bind(const Workflow& workflow,
   actors_.clear();
   MetricsRegistry& reg = MetricsRegistry::Global();
   RegisterHelp(reg);
-  events_emitted_ = reg.GetCounter("cwf_events_emitted_total");
   ready_queue_events_ = reg.GetHistogram("cwf_sched_ready_events");
   GlobalTracer().set_latency_sink(reg.GetHistogram("cwf_wave_latency_us"));
   for (const auto& actor : workflow.actors()) {

@@ -121,9 +121,6 @@ class WorkflowTelemetry {
   /// (Director::FlushActorOutputs). Births waves in the tracer.
   void RecordEmit(const CWEvent& event, size_t fanout) {
 #ifdef CWF_OBS_ENABLED
-    if (events_emitted_ != nullptr && MetricsEnabled()) {
-      events_emitted_->Add(1);
-    }
     if (TracingEnabled()) {
       GlobalTracer().OnEventEmitted(event.wave, event.timestamp, fanout);
     }
@@ -167,7 +164,6 @@ class WorkflowTelemetry {
   /// Indexed by Actor::slot(). Read-only after Bind (PNCWF actor threads
   /// look up concurrently).
   std::vector<ActorInstruments> actors_;
-  Counter* events_emitted_ = nullptr;      ///< cwf_events_emitted_total
   Histogram* ready_queue_events_ = nullptr;  ///< cwf_sched_ready_events
 };
 

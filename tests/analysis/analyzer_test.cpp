@@ -5,6 +5,9 @@
 #include "analysis/builtin_graphs.h"
 #include "core/composite_actor.h"
 #include "directors/ddf_director.h"
+#include "directors/scwf_director.h"
+#include "directors/sdf_director.h"
+#include "stafilos/qbs_scheduler.h"
 #include "test_actors.h"
 
 namespace cwf::analysis {
@@ -182,6 +185,65 @@ TEST(VerifyForDirectorTest, GatesInitializeAndHonorsOptOut) {
     unguarded.set_static_analysis_enabled(false);
     EXPECT_TRUE(unguarded.Initialize(&wf, &clock, nullptr).ok());
   }
+}
+
+/// outer (SCWF): src -> comp -> sink, comp run by `inner_director` over
+/// entry -> exit.
+struct CompositeDeployment {
+  Workflow wf{"outer"};
+  Node* entry = nullptr;
+  Node* exit_actor = nullptr;
+
+  explicit CompositeDeployment(
+      std::unique_ptr<Director> inner_director,
+      WindowSpec exit_spec = WindowSpec::SingleEvent()) {
+    auto* src = wf.AddActor<Node>("src", 0, 1);
+    auto* comp =
+        wf.AddActor<CompositeActor>("comp", std::move(inner_director));
+    auto* sink = wf.AddActor<Node>("sink", 1, 0);
+    entry = comp->inner()->AddActor<Node>("entry", 1, 1);
+    exit_actor = comp->inner()->AddActor<Node>("exit", 1, 1, exit_spec);
+    CWF_CHECK(comp->inner()->Connect(entry->out(), exit_actor->in()).ok());
+    CWF_CHECK(
+        wf.Connect(src->out(), comp->ExposeInput("in", entry->in())).ok());
+    CWF_CHECK(
+        wf.Connect(comp->ExposeOutput("out", exit_actor->out()), sink->in())
+            .ok());
+  }
+};
+
+TEST(InitializeGateTest, InnerSchemaMismatchRefusesOuterInitialize) {
+  CompositeDeployment d(std::make_unique<DDFDirector>());
+  d.entry->out()->set_schema(TokenType::Str());
+  d.exit_actor->in()->set_required_schema(TokenType::Int());
+  // The outer gate visits only its own level...
+  EXPECT_TRUE(VerifyForDirector(d.wf, "SCWF").ok());
+  // ...and the inner director's gate refuses when the composite
+  // initializes.
+  VirtualClock clock;
+  CostModel costs;
+  SCWFDirector outer(std::make_unique<QBSScheduler>());
+  const Status status = outer.Initialize(&d.wf, &clock, &costs);
+  ASSERT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("CWF7001"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("exit.in"), std::string::npos)
+      << status.message();
+}
+
+TEST(InitializeGateTest, InnerSdfInadmissibleWindowRefusesOuterInitialize) {
+  CompositeDeployment d(std::make_unique<SDFDirector>(),
+                        WindowSpec::Time(Seconds(60), Seconds(60)));
+  EXPECT_TRUE(VerifyForDirector(d.wf, "SCWF").ok());
+  VirtualClock clock;
+  CostModel costs;
+  SCWFDirector outer(std::make_unique<QBSScheduler>());
+  const Status status = outer.Initialize(&d.wf, &clock, &costs);
+  ASSERT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("CWF2001"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("exit.in"), std::string::npos)
+      << status.message();
 }
 
 TEST(DotHighlightTest, DiagnosticActorsCanBeFilled) {

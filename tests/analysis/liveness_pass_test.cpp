@@ -53,6 +53,24 @@ TEST(LivenessPassTest, ChannelDemandViolationIsProvablyDeadlocking) {
   EXPECT_NE(cycle.find("agg"), std::string::npos);
 }
 
+TEST(LivenessPassTest, InvalidWindowIsNotSimulated) {
+  // A zero-size tuple window (CWF1002) never lets the simulated window
+  // operator finish a deposit; the analysis must fall back instead of
+  // spinning.
+  Workflow wf("w");
+  auto* src = wf.AddActor<Node>("src", 0, 1);
+  auto* bad = wf.AddActor<Node>("bad", 1, 0, WindowSpec::Tuples(0, 1));
+  ASSERT_TRUE(wf.Connect(src->out(), bad->in()).ok());
+  const LivenessReport report = AnalyzeLiveness(
+      wf, Under("PNCWF"), ManualPlan({{"src.out", "bad.in", 8}}));
+  EXPECT_NE(report.method, "sdf-simulation");
+  bool noted = false;
+  for (const std::string& note : report.notes) {
+    noted = noted || note.find("invalid window") != std::string::npos;
+  }
+  EXPECT_TRUE(noted) << report.ToText();
+}
+
 TEST(LivenessPassTest, TokenStarvedLoopDeadlocksInSimulation) {
   Workflow wf("w");
   auto* a = wf.AddActor<Node>("A", 1, 1);

@@ -398,28 +398,6 @@ TEST(SchemaPassTest, TypeFlowsThroughCompositeToInnerConsumer) {
   EXPECT_EQ(report.channels.back().resolved, TokenType::Double());
 }
 
-TEST(SchemaPassTest, ResolveChannelTypesCoversEnforceableChannels) {
-  Workflow wf("w");
-  auto* src = wf.AddActor<Node>("src", 0, 1);
-  auto* mid = wf.AddActor<Node>("mid", 1, 1);
-  auto* sink = wf.AddActor<Node>("sink", 1, 0);
-  src->out()->set_schema(TokenType::Int());
-  sink->in()->set_required_schema(TokenType::Double());
-  ASSERT_TRUE(wf.Connect(src->out(), mid->in()).ok());
-  ASSERT_TRUE(wf.Connect(mid->out(), sink->in()).ok());
-  const auto resolved = ResolveChannelTypes(wf);
-  ASSERT_EQ(resolved.size(), 2u);
-  const auto first = resolved.find({mid->in(), 0});
-  ASSERT_NE(first, resolved.end());
-  EXPECT_EQ(first->second.type, TokenType::Int());
-  EXPECT_NE(first->second.channel_name.find("src.out"), std::string::npos);
-  // mid's output is undeclared (Node has no transfer), so the consumer's
-  // own requirement backs the runtime check.
-  const auto second = resolved.find({sink->in(), 0});
-  ASSERT_NE(second, resolved.end());
-  EXPECT_EQ(second->second.type, TokenType::Double());
-}
-
 TEST(SchemaPassTest, PassFoldsFindingsIntoDiagnosticBag) {
   Workflow wf("w");
   auto* src = wf.AddActor<Node>("src", 0, 1);

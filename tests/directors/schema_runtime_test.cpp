@@ -83,6 +83,39 @@ TEST(SchemaRuntimeTest, TypedGraphRunsCleanlyWithEnforcementAttached) {
   EXPECT_EQ(sink->count(), 5u);
 }
 
+TEST(SchemaRuntimeTest, InitializeInstallsResolvedTypeElseTheRequirement) {
+  Workflow wf("w");
+  auto feed = std::make_shared<PushChannel>();
+  auto* src = wf.AddActor<StreamSourceActor>("src", feed);
+  auto* mid = wf.AddActor<MapActor>("mid", [](const Token& t) { return t; });
+  auto* sink = wf.AddActor<CollectorSink>("sink");
+  src->out()->set_schema(TokenType::Int());
+  sink->in()->set_required_schema(TokenType::Double());
+  ASSERT_TRUE(wf.Connect(src->out(), mid->in()).ok());
+  ASSERT_TRUE(wf.Connect(mid->out(), sink->in()).ok());
+  feed->Close();
+  VirtualClock clock;
+  DDFDirector d;
+  ASSERT_TRUE(d.Initialize(&wf, &clock, nullptr).ok());
+  const Receiver* first = mid->in()->receiver(0);
+  ASSERT_NE(first->expected_type(), nullptr);
+  EXPECT_EQ(*first->expected_type(), TokenType::Int());
+  EXPECT_EQ(first->channel_name(), "src.out -> mid.in[0]");
+  // mid's output is undeclared (no transfer function), so the consumer's
+  // own requirement backs the runtime check.
+  const Receiver* second = sink->in()->receiver(0);
+  ASSERT_NE(second->expected_type(), nullptr);
+  EXPECT_EQ(*second->expected_type(), TokenType::Double());
+  EXPECT_EQ(second->channel_name(), "mid.out -> sink.in[0]");
+
+  // Without the gate there is no resolution and nothing is enforced.
+  DDFDirector unguarded;
+  unguarded.set_static_analysis_enabled(false);
+  ASSERT_TRUE(unguarded.Initialize(&wf, &clock, nullptr).ok());
+  EXPECT_EQ(mid->in()->receiver(0)->expected_type(), nullptr);
+  EXPECT_EQ(sink->in()->receiver(0)->expected_type(), nullptr);
+}
+
 #if CWF_SCHEMA_CHECK_IS_ON
 
 TEST(SchemaRuntimeTest, LyingProducerFailsRunWithCWF7008AtTheReceiver) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "analysis/schema_pass.h"
+#include "core/composite_actor.h"
+#include "directors/pncwf_director.h"
 #include "directors/scwf_director.h"
 #include "lrb/generator.h"
 #include "lrb/workflow_builder.h"
@@ -105,6 +108,55 @@ TEST(LRBWorkflowTest, EndToEndSmokeOnTinyWorkload) {
   EXPECT_GT(app->source->injected(), 0u);
   EXPECT_GT(app->toll_calculator->tolls_calculated(), 0u);
   EXPECT_GT(app->toll_series->count(), 0u);
+}
+
+TEST(LRBWorkflowTest, InitializeInstallsEveryEnforceableChannelType) {
+  // Reference: each level's own schema resolution. Initialize must attach
+  // the producer's resolved type (else the consumer's requirement) to the
+  // receiver of every channel on both levels, under either execution model.
+  for (const bool pncwf : {false, true}) {
+    SCOPED_TRACE(pncwf ? "PNCWF (simulated)" : "SCWF+QBS");
+    auto feed = std::make_shared<PushChannel>();
+    feed->Close();
+    auto app = BuildLRBApplication(feed, /*hierarchical=*/true);
+    ASSERT_TRUE(app.ok());
+    VirtualClock clock;
+    CostModel cm;
+    std::unique_ptr<Director> d;
+    if (pncwf) {
+      PNCWFOptions options;
+      options.mode = PNCWFMode::kSimulatedThreads;
+      d = std::make_unique<PNCWFDirector>(options);
+    } else {
+      d = std::make_unique<SCWFDirector>(std::make_unique<QBSScheduler>());
+    }
+    ASSERT_TRUE(d->Initialize(app->workflow.get(), &clock, &cm).ok());
+
+    auto* composite = dynamic_cast<CompositeActor*>(
+        app->workflow->FindActor("AccidentDetection"));
+    ASSERT_NE(composite, nullptr);
+    for (const Workflow* level : {app->workflow.get(), composite->inner()}) {
+      SCOPED_TRACE(level->name());
+      size_t typed = 0;
+      for (const analysis::ChannelSchema& ch :
+           analysis::AnalyzeSchemas(*level, {}).channels) {
+        const TokenType& want =
+            ch.resolved.is_unknown() ? ch.required : ch.resolved;
+        const Receiver* r = ch.to_port->receiver(ch.to_channel);
+        ASSERT_NE(r, nullptr) << ch.to;
+        if (want.is_unknown()) {
+          EXPECT_EQ(r->expected_type(), nullptr) << ch.to;
+          continue;
+        }
+        ++typed;
+        ASSERT_NE(r->expected_type(), nullptr) << ch.to;
+        EXPECT_EQ(*r->expected_type(), want) << ch.to;
+        EXPECT_EQ(r->channel_name(), ch.from + " -> " + ch.to);
+      }
+      // Every LRB port declares its schema.
+      EXPECT_EQ(typed, level->channels().size());
+    }
+  }
 }
 
 }  // namespace
