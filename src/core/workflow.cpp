@@ -194,10 +194,9 @@ Status Workflow::Validate() const {
 
 namespace {
 
-std::string DotId(const void* p) {
-  std::ostringstream oss;
-  oss << "n" << p;
-  return oss.str();
+// The slot path: `prefix` names the enclosing composites (see ToDot()).
+std::string DotId(const std::string& prefix, const Actor* actor) {
+  return prefix + std::to_string(actor->slot());
 }
 
 std::string EscapeDot(const std::string& s) {
@@ -212,27 +211,29 @@ std::string EscapeDot(const std::string& s) {
 }
 
 void EmitActors(std::ostringstream& oss, const Workflow& wf,
+                const std::string& prefix,
                 const Workflow::DotOptions& options, int depth);
 
 void EmitActorNode(std::ostringstream& oss, const Actor* actor,
+                   const std::string& prefix,
                    const Workflow::DotOptions& options, int depth) {
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');
   const auto fill = options.node_fill.find(actor);
   // Composites render as clusters containing their inner workflow.
   if (const auto* composite = dynamic_cast<const CompositeActor*>(actor)) {
-    oss << indent << "subgraph cluster_" << DotId(actor) << " {\n"
+    oss << indent << "subgraph cluster_" << DotId(prefix, actor) << " {\n"
         << indent << "  label=\"" << EscapeDot(actor->name()) << "\";\n";
     if (fill != options.node_fill.end()) {
       oss << indent << "  style=filled;\n"
           << indent << "  bgcolor=\"" << EscapeDot(fill->second) << "\";\n";
     }
-    EmitActors(oss, *const_cast<CompositeActor*>(composite)->inner(), options,
-               depth + 1);
+    EmitActors(oss, *const_cast<CompositeActor*>(composite)->inner(),
+               DotId(prefix, actor) + "_", options, depth + 1);
     oss << indent << "}\n";
     return;
   }
-  oss << indent << DotId(actor) << " [label=\"" << EscapeDot(actor->name())
-      << "\"";
+  oss << indent << DotId(prefix, actor) << " [label=\""
+      << EscapeDot(actor->name()) << "\"";
   if (actor->IsSource()) {
     oss << ", shape=invhouse";
   }
@@ -243,14 +244,15 @@ void EmitActorNode(std::ostringstream& oss, const Actor* actor,
 }
 
 void EmitActors(std::ostringstream& oss, const Workflow& wf,
+                const std::string& prefix,
                 const Workflow::DotOptions& options, int depth) {
   for (const auto& actor : wf.actors()) {
-    EmitActorNode(oss, actor.get(), options, depth);
+    EmitActorNode(oss, actor.get(), prefix, options, depth);
   }
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');
   for (const ChannelSpec& ch : wf.channels()) {
-    oss << indent << DotId(ch.from->actor()) << " -> "
-        << DotId(ch.to->actor());
+    oss << indent << DotId(prefix, ch.from->actor()) << " -> "
+        << DotId(prefix, ch.to->actor());
     const auto style = options.edge_style.find({ch.to, ch.to_channel});
     std::string label;
     if (!ch.to->spec().IsTrivial()) {
@@ -289,7 +291,7 @@ std::string Workflow::ToDot(const DotOptions& options) const {
   oss << "digraph \"" << EscapeDot(name_) << "\" {\n"
       << "  rankdir=LR;\n"
       << "  node [shape=box];\n";
-  EmitActors(oss, *this, options, 1);
+  EmitActors(oss, *this, "n", options, 1);
   oss << "}\n";
   return oss.str();
 }

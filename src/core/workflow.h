@@ -110,7 +110,9 @@ class Workflow {
 
   /// \brief Render the graph in Graphviz DOT format (actors as nodes —
   /// composites shown as clusters with their inner workflow — channels as
-  /// edges labelled with the consuming port's window semantics).
+  /// edges labelled with the consuming port's window semantics). A node is
+  /// named by its slot path ("n1"; "n2_0" for slot 0 inside the composite at
+  /// slot 2), so identical graphs render byte-identical.
   std::string ToDot() const;
   std::string ToDot(const DotOptions& options) const;
 

@@ -5,22 +5,8 @@
 
 namespace cwf {
 
-namespace {
-
-// splitmix64 finalizer: Value::Hash is the identity on ints, and linear
-// probing over small dense ids needs every input bit spread.
-uint64_t Mix64(uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ULL;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBULL;
-  h ^= h >> 31;
-  return h;
-}
-
-}  // namespace
-
-WindowOperator::WindowOperator(WindowSpec spec) : spec_(std::move(spec)) {
+WindowOperator::WindowOperator(WindowSpec spec)
+    : spec_(std::move(spec)), group_keys_(spec_.group_by.size()) {
   Status st = spec_.Validate();
   CWF_CHECK_MSG(st.ok(), "invalid WindowSpec: " << st.ToString());
   trivial_ = spec_.IsTrivial();
@@ -46,7 +32,6 @@ Status WindowOperator::FindGroup(const CWEvent& event, uint32_t* id) {
         event.token.ToString());
   }
   const RecordPtr& rec = event.token.AsRecord();
-  uint64_t hash = 0;
   for (size_t i = 0; i < key_fields_.size(); ++i) {
     const Value* value = key_fields_[i].Find(*rec);
     if (value == nullptr) {
@@ -55,76 +40,24 @@ Status WindowOperator::FindGroup(const CWEvent& event, uint32_t* id) {
                                      "' missing from " + rec->ToString());
     }
     key_scratch_[i] = value;
-    hash = Mix64(hash ^ value->Hash());
   }
-  if (index_.empty()) {
-    index_.resize(16);
+  const auto [group, inserted] = group_keys_.Insert(
+      [this](size_t i) -> const Value& { return *key_scratch_[i]; });
+  if (inserted) {
+    CWF_DCHECK(group == groups_.size());  // groups are never erased
+    groups_.emplace_back().id = group;
   }
-  const uint32_t slot_hash = static_cast<uint32_t>(hash);
-  const size_t mask = index_.size() - 1;
-  for (size_t pos = slot_hash & mask;; pos = (pos + 1) & mask) {
-    Slot& slot = index_[pos];
-    if (slot.group == kNoGroup) {
-      slot.hash = slot_hash;
-      slot.group = *id = AddGroup();
-      if (groups_.size() * 2 > index_.size()) {
-        GrowIndex();
-      }
-      return Status::OK();
-    }
-    if (slot.hash == slot_hash && KeyMatches(slot.group)) {
-      *id = slot.group;
-      return Status::OK();
-    }
-  }
-}
-
-bool WindowOperator::KeyMatches(uint32_t id) const {
-  const Value* key = &key_values_[id * key_scratch_.size()];
-  for (size_t i = 0; i < key_scratch_.size(); ++i) {
-    if (!(*key_scratch_[i] == key[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-uint32_t WindowOperator::AddGroup() {
-  CWF_CHECK_MSG(groups_.size() < kNoGroup, "window group ids exhausted");
-  for (const Value* value : key_scratch_) {
-    key_values_.push_back(*value);
-  }
-  const auto id = static_cast<uint32_t>(groups_.size());
-  groups_.emplace_back().id = id;
-  return id;
+  *id = group;
+  return Status::OK();
 }
 
 const Token& WindowOperator::KeyToken(GroupState* g) {
   if (g->group_key_token.is_nil() && !key_fields_.empty()) {
-    const auto key = key_values_.begin() +
-                     static_cast<std::ptrdiff_t>(g->id * key_fields_.size());
+    const Value* key = group_keys_.Key(g->id);
     g->group_key_token = Token(std::make_shared<const Record>(
-        key_layout_,
-        std::vector<Value>(
-            key, key + static_cast<std::ptrdiff_t>(key_fields_.size()))));
+        key_layout_, std::vector<Value>(key, key + key_fields_.size())));
   }
   return g->group_key_token;
-}
-
-void WindowOperator::GrowIndex() {
-  std::vector<Slot> grown(index_.size() * 2);
-  const size_t mask = grown.size() - 1;
-  for (const Slot& slot : index_) {
-    if (slot.group == kNoGroup) {
-      continue;
-    }
-    size_t pos = slot.hash & mask;
-    while (grown[pos].group != kNoGroup) {
-      pos = (pos + 1) & mask;
-    }
-    grown[pos] = slot;
-  }
-  index_.swap(grown);
 }
 
 Status WindowOperator::Put(const CWEvent& event, std::vector<Window>* out) {
@@ -410,9 +343,9 @@ void WindowOperator::Flush(std::vector<Window>* out) {
   if (!key_fields_.empty()) {
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       const size_t n = key_fields_.size();
-      return std::lexicographical_compare(
-          key_values_.begin() + a * n, key_values_.begin() + (a + 1) * n,
-          key_values_.begin() + b * n, key_values_.begin() + (b + 1) * n);
+      const Value* key_a = group_keys_.Key(a);
+      const Value* key_b = group_keys_.Key(b);
+      return std::lexicographical_compare(key_a, key_a + n, key_b, key_b + n);
     });
   }
   for (uint32_t id : order) {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/event.h"
+#include "core/key_index.h"
 #include "window/window_spec.h"
 
 namespace cwf {
@@ -42,17 +43,13 @@ namespace cwf {
 ///    one pointer comparison, so a channel whose records share one layout
 ///    never looks a name up, and records with the same fields in another
 ///    order still find them.
-///  - Groups live in a deque by dense id (stable addresses, no copying as
-///    it grows), found through an open-addressing index of 8-byte
-///    (hash, id) slots; the hash mixes the key values' hashes. The key is
-///    hashed through pointers into the event's record, so a deposit into
-///    an existing group copies no value and allocates nothing for the key.
-///    Group keys are copied once, when the group is created, into one
-///    flat value array that later lookups compare against. A group's key
-///    token (the record carried as Window::group_key) is built once, for
-///    its first window, so groups that never emit one (a position seen
-///    once) never pay for it. The per-deposit cost does not depend on how
-///    many groups exist.
+///  - Groups live in a deque by dense id (stable addresses as it grows),
+///    their keys in a KeyIndex (core/key_index.h), hashed and compared
+///    through pointers into the event's record: a deposit into an existing
+///    group copies and allocates nothing for the key. A group's key token
+///    (Window::group_key) is built for its first window, so groups that
+///    never emit one (a position seen once) never pay for it. The
+///    per-deposit cost does not depend on how many groups exist.
 ///  - A WindowSpec::IsTrivial() spec skips grouping entirely: each event
 ///    becomes its own window and no group is created.
 ///  - Formation deadlines sit in a multimap of (deadline, group id); each
@@ -176,7 +173,7 @@ class WindowOperator {
     /// Size of the last window that took the queue's buffer (TakeQueue);
     /// the next first event reserves that much.
     size_t last_window_size = 0;
-    /// Dense id: the group's key is key_values_[id * fields, +fields).
+    /// Dense id: the group's key is group_keys_.Key(id).
     uint32_t id = 0;
     /// Key record (key_layout_: group-by field name -> value, in group_by
     /// order), built by KeyToken() for the group's first window; nil until
@@ -189,31 +186,13 @@ class WindowOperator {
     DeadlineIndex::iterator deadline_entry;
   };
 
-  /// Hash-index slot: a group id and the low 32 bits of its key's mixed
-  /// hash, which also pick the home slot.
-  struct Slot {
-    uint32_t hash = 0;
-    uint32_t group = kNoGroup;
-  };
-
-  static constexpr uint32_t kNoGroup = UINT32_MAX;
-
   /// Resolve `event`'s group, creating it on first sight. Returns
   /// InvalidArgument if the spec has a group-by but the event's token is
   /// not a record carrying all group-by fields.
   Status FindGroup(const CWEvent& event, uint32_t* id);
 
-  /// Whether group `id`'s key equals the values in key_scratch_.
-  bool KeyMatches(uint32_t id) const;
-
-  /// Append a group for the key in key_scratch_; returns its id.
-  uint32_t AddGroup();
-
   /// `g`'s key as a record token (Window::group_key), built on first use.
   const Token& KeyToken(GroupState* g);
-
-  /// Double the hash index (at most half full after a grow).
-  void GrowIndex();
 
   /// A window of `g`'s whole queue that takes the queue's buffer (used
   /// events are consumed): no event is copied, and the group holds no
@@ -255,12 +234,8 @@ class WindowOperator {
   std::vector<const Value*> key_scratch_;
   /// Groups by dense id; a deque keeps addresses stable as it grows.
   std::deque<GroupState> groups_;
-  /// Every group's key values, group_by.size() per group in id order: one
-  /// flat array, so a lookup compares keys without chasing a pointer.
-  std::vector<Value> key_values_;
-  /// Open-addressing hash index over groups_ (linear probing; size is a
-  /// power of two, at most half full). Empty without a group-by.
-  std::vector<Slot> index_;
+  /// Every group's key, by group id; empty without a group-by.
+  KeyIndex group_keys_;
   /// Pending time-window deadlines, earliest first; ties in registration
   /// order.
   DeadlineIndex deadline_index_;

@@ -200,6 +200,32 @@ TEST(WorkflowTest, CycleThroughCompositeBoundary) {
 namespace cwf {
 namespace {
 
+// Two-level graph: a source feeding a composite whose inner pair is wired.
+std::unique_ptr<Workflow> DotFixture() {
+  auto wf = std::make_unique<Workflow>("outer");
+  auto* src = wf->AddActor<MapActor>("src", Identity);
+  auto* comp =
+      wf->AddActor<CompositeActor>("stage", std::make_unique<DDFDirector>());
+  auto* inner_map = comp->inner()->AddActor<MapActor>("inner_map", Identity);
+  auto* inner_sink = comp->inner()->AddActor<MapActor>("inner_sink", Identity);
+  EXPECT_TRUE(comp->inner()->Connect(inner_map->out(), inner_sink->in()).ok());
+  EXPECT_TRUE(wf->Connect(src->out(), comp->ExposeInput("in", inner_map->in()))
+                  .ok());
+  return wf;
+}
+
+TEST(WorkflowTest, ToDotIsReproducible) {
+  // Both graphs are alive at once, so their actors sit at different
+  // addresses; node names must not depend on them.
+  const std::unique_ptr<Workflow> a = DotFixture();
+  const std::unique_ptr<Workflow> b = DotFixture();
+  const std::string dot = a->ToDot();
+  EXPECT_EQ(dot, b->ToDot());
+  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos) << dot;
+  EXPECT_NE(dot.find("subgraph cluster_n1 {"), std::string::npos) << dot;
+  EXPECT_NE(dot.find("n1_0 -> n1_1"), std::string::npos) << dot;
+}
+
 TEST(WorkflowDotTest, RendersNodesEdgesAndWindowLabels) {
   Workflow wf("dotted");
   auto* a = wf.AddActor<MapActor>("alpha", Identity);

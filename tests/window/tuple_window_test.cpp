@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "stream/trace.h"
 #include "test_util.h"
 #include "window/window_operator.h"
 
@@ -117,6 +120,23 @@ TEST(TupleWindowTest, GroupByRejectsMissingField) {
   WindowOperator op(WindowSpec::Tuples(1, 1).GroupBy({"car"}));
   std::vector<Window> out;
   EXPECT_FALSE(op.Put(Ev(Rec({{"other", 1}}), 1), &out).ok());
+}
+
+TEST(TupleWindowTest, NaNGroupKeyFormsOneGroup) {
+  // The wire format accepts a NaN double; group keys compare NaN equal to
+  // NaN, so every such event lands in the one group.
+  WindowOperator op(WindowSpec::Tuples(2, 2).GroupBy({"k"}));
+  std::vector<Window> out;
+  for (int64_t ts = 1; ts <= 4; ++ts) {
+    Result<Token> token = ParseTokenBody("k=d:nan;n=i:1");
+    ASSERT_TRUE(token.ok()) << token.status().ToString();
+    ASSERT_TRUE(op.Put(Ev(std::move(token).value(), ts), &out).ok());
+  }
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(op.GroupCount(), 1u);
+  EXPECT_EQ(op.PendingEventCount(), 0u);
+  ASSERT_FALSE(out.empty());
+  EXPECT_TRUE(std::isnan(out[0].group_key.Field("k").AsDouble()));
 }
 
 TEST(TupleWindowTest, FlushEmitsPartialWindows) {

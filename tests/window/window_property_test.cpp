@@ -22,6 +22,16 @@ struct TupleParams {
   int64_t n_events;
 };
 
+// gtest names a parameter it cannot print by its bytes, struct padding
+// included, so each parameter struct gets a readable name.
+std::string TupleName(const TupleParams& p) {
+  return "Size" + std::to_string(p.size) + "_Step" + std::to_string(p.step) +
+         (p.delete_used ? "_Consume_N" : "_Slide_N") +
+         std::to_string(p.n_events);
+}
+
+void PrintTo(const TupleParams& p, std::ostream* os) { *os << TupleName(p); }
+
 class TupleWindowProperty : public ::testing::TestWithParam<TupleParams> {};
 
 // Invariant set for count-based windows over a strictly increasing stream:
@@ -73,7 +83,10 @@ INSTANTIATE_TEST_SUITE_P(
                       TupleParams{2, 3, false, 20}, TupleParams{2, 3, true, 20},
                       TupleParams{5, 2, false, 33}, TupleParams{7, 7, true, 50},
                       TupleParams{10, 3, false, 100},
-                      TupleParams{3, 10, false, 100}));
+                      TupleParams{3, 10, false, 100}),
+    [](const ::testing::TestParamInfo<TupleParams>& info) {
+      return TupleName(info.param);
+    });
 
 struct TimeParams {
   int64_t size_s;
@@ -82,6 +95,16 @@ struct TimeParams {
   int64_t n_events;
   int64_t spacing_s;  // inter-event gap
 };
+
+std::string TimeName(const TimeParams& p) {
+  return "Size" + std::to_string(p.size_s) + "s_Step" +
+         std::to_string(p.step_s) + "s" +
+         (p.delete_used ? "_Consume_N" : "_Slide_N") +
+         std::to_string(p.n_events) + "_Gap" + std::to_string(p.spacing_s) +
+         "s";
+}
+
+void PrintTo(const TimeParams& p, std::ostream* os) { *os << TimeName(p); }
 
 class TimeWindowProperty : public ::testing::TestWithParam<TimeParams> {};
 
@@ -131,7 +154,10 @@ INSTANTIATE_TEST_SUITE_P(
                       TimeParams{10, 10, true, 100, 1},
                       TimeParams{10, 5, false, 100, 1},
                       TimeParams{5, 20, true, 60, 2},
-                      TimeParams{120, 120, true, 30, 11}));
+                      TimeParams{120, 120, true, 30, 11}),
+    [](const ::testing::TestParamInfo<TimeParams>& info) {
+      return TimeName(info.param);
+    });
 
 // Group-by property: windows formed per key match windows formed by running
 // one operator per key.
